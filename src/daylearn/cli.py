@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-synth, gen-rotated, split, run, evaluate, assess, plot,
-grad-check. Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or
-config error, 3 data error.
+grad-check. Exit codes: 0 success, 1 runtime/numeric/checkpoint failure,
+2 usage or config error, 3 data error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .data import (
     pgm_read,
     split_manifest,
 )
-from .errors import ConfigError, DataError, NumericError, UsageError
+from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
 from .protocol import evaluate as evaluate_model
 from .protocol import run_experiment
@@ -278,6 +278,9 @@ def dispatch(argv):
         return 3
     except NumericError as e:
         print(f"NUMERIC_ERROR: {e}", file=sys.stderr)
+        return 1
+    except CheckpointError as e:
+        print(f"CHECKPOINT_ERROR: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"IO_ERROR: {e}", file=sys.stderr)

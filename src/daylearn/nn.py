@@ -6,6 +6,23 @@ gradient verification, and an exact binary checkpoint format.
 
 Runs use float32; the gradient checker exercises the same code paths
 in float64.
+
+Every forward takes a `train` flag. Training mode (the default) keeps
+what backward needs: the padded conv input, the ReLU mask, the pool
+input and output, the dense input, the flatten shape. Eval mode
+(`train=False`, used by `predict_batch` and so by all evaluation)
+computes the same logits with the same operations but writes no layer
+state, so an evaluation may run between a training forward and its
+backward.
+
+Conv2d is im2col plus one GEMM (Chellapilla et al. 2006): the k*k
+strided views of the padded input are copied into one contiguous
+(n, cin*k*k, Ho*Wo) column buffer that meets w.reshape(cout, -1) in a
+single batched matmul. Backward rebuilds the columns for the weight
+gradient instead of caching them, and scatters the input gradient one
+kernel offset at a time. MaxPool2d takes the running maximum over the
+k*k strided slices; its backward sends each window's gradient to the
+first maximum in row-major order.
 """
 
 from __future__ import annotations
@@ -53,9 +70,6 @@ class FlattenSpec:
     pass
 
 
-LayerSpec = object  # any of the dataclasses above
-
-
 def _validate_spec(i, spec):
     if isinstance(spec, Conv2dSpec):
         if spec.kernel < 1 or spec.stride < 1 or spec.padding < 0:
@@ -78,15 +92,29 @@ def _validate_spec(i, spec):
 
 
 class _Layer:
-    spec: LayerSpec
     params: list  # np.ndarray refs, possibly empty
     param_names: list
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         raise NotImplementedError
 
     def backward(self, gy):
         raise NotImplementedError
+
+
+def _offsets(k):
+    """Kernel window offsets in row-major order."""
+    return [(ki, kj) for ki in range(k) for kj in range(k)]
+
+
+def _window(ki, kj, ho, wo, stride):
+    """Index of the (ho, wo) input elements that kernel offset (ki, kj) meets."""
+    return (
+        slice(None),
+        slice(None),
+        slice(ki, ki + stride * ho, stride),
+        slice(kj, kj + stride * wo, stride),
+    )
 
 
 class Conv2d(_Layer):
@@ -102,7 +130,16 @@ class Conv2d(_Layer):
         self.grads = [None, None]
         self._cache = None
 
-    def forward(self, x):
+    def _im2col(self, xp, ho, wo):
+        """(n, cin*k*k, ho*wo) columns; row order matches w.reshape(cout, -1)."""
+        k = self.spec.kernel
+        n, c = xp.shape[:2]
+        cols = np.empty((n, c, k, k, ho, wo), dtype=xp.dtype)
+        for ki, kj in _offsets(k):
+            cols[:, :, ki, kj] = xp[_window(ki, kj, ho, wo, self.spec.stride)]
+        return cols.reshape(n, c * k * k, ho * wo)
+
+    def forward(self, x, train=True):
         s = self.spec
         n, c, h, w = x.shape
         p, st, k = s.padding, s.stride, s.kernel
@@ -111,28 +148,26 @@ class Conv2d(_Layer):
         if ho < 1 or wo < 1:
             raise ConfigError(f"conv output would be empty for input {x.shape}")
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        out = np.zeros((n, s.out_channels, ho, wo), dtype=x.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                patch = xp[:, :, ki : ki + st * ho : st, kj : kj + st * wo : st]
-                out += np.einsum("ncij,oc->noij", patch, self.w[:, :, ki, kj])
+        out = np.matmul(self.w.reshape(s.out_channels, -1), self._im2col(xp, ho, wo))
+        out = out.reshape(n, s.out_channels, ho, wo)
         out += self.b[None, :, None, None]
-        self._cache = (xp, x.shape, ho, wo)
+        if train:
+            self._cache = (xp, x.shape, ho, wo)
         return out
 
     def backward(self, gy):
         s = self.spec
         xp, xshape, ho, wo = self._cache
-        p, st, k = s.padding, s.stride, s.kernel
-        gw = np.zeros_like(self.w)
+        p = s.padding
+        n = gy.shape[0]
+        g = gy.reshape(n, s.out_channels, ho * wo)
+        cols = self._im2col(xp, ho, wo)
+        gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
+        del cols  # freed before gxp is allocated: a lower peak footprint
         gxp = np.zeros_like(xp)
-        for ki in range(k):
-            for kj in range(k):
-                patch = xp[:, :, ki : ki + st * ho : st, kj : kj + st * wo : st]
-                gw[:, :, ki, kj] = np.einsum("noij,ncij->oc", gy, patch)
-                gxp[:, :, ki : ki + st * ho : st, kj : kj + st * wo : st] += np.einsum(
-                    "noij,oc->ncij", gy, self.w[:, :, ki, kj]
-                )
+        for ki, kj in _offsets(s.kernel):
+            part = np.matmul(self.w[:, :, ki, kj].T, g)
+            gxp[_window(ki, kj, ho, wo, s.stride)] += part.reshape(n, s.in_channels, ho, wo)
         gb = gy.sum(axis=(0, 2, 3))
         _, _, h, w = xshape
         gx = gxp[:, :, p : p + h, p : p + w] if p else gxp
@@ -153,8 +188,9 @@ class Dense(_Layer):
         self.grads = [None, None]
         self._x = None
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, train=True):
+        if train:
+            self._x = x
         return x @ self.w.T + self.b
 
     def backward(self, gy):
@@ -170,9 +206,10 @@ class ReLU(_Layer):
         self.grads = []
         self._mask = None
 
-    def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, x.dtype.type(0))
+    def forward(self, x, train=True):
+        if train:
+            self._mask = x > 0
+        return np.maximum(x, x.dtype.type(0))
 
     def backward(self, gy):
         return np.where(self._mask, gy, gy.dtype.type(0))
@@ -187,36 +224,33 @@ class MaxPool2d(_Layer):
         self.grads = []
         self._cache = None
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         k = self.spec.kernel
-        n, c, h, w = x.shape
-        ho, wo = h // k, w // k
+        ho, wo = x.shape[2] // k, x.shape[3] // k
         if ho < 1 or wo < 1:
             raise ConfigError(f"pool output would be empty for input {x.shape}")
-        win = (
-            x[:, :, : ho * k, : wo * k]
-            .reshape(n, c, ho, k, wo, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, ho, wo, k * k)
-        )
-        idx = np.argmax(win, axis=-1)  # first max wins on ties
-        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
+        out = x[_window(0, 0, ho, wo, k)].copy()
+        for ki, kj in _offsets(k)[1:]:
+            np.maximum(out, x[_window(ki, kj, ho, wo, k)], out=out)
+        if train:
+            self._cache = (x, out)
         return out
 
     def backward(self, gy):
+        # the first maximum of each window in row-major order takes the gradient
         k = self.spec.kernel
-        xshape, idx = self._cache
-        n, c, h, w = xshape
-        ho, wo = h // k, w // k
-        gwin = np.zeros((n, c, ho, wo, k * k), dtype=gy.dtype)
-        np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
-        gx = np.zeros(xshape, dtype=gy.dtype)
-        gx[:, :, : ho * k, : wo * k] = (
-            gwin.reshape(n, c, ho, wo, k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, ho * k, wo * k)
-        )
+        x, out = self._cache
+        ho, wo = out.shape[2:]
+        gx = np.zeros(x.shape, dtype=gy.dtype)
+        pending = np.ones(out.shape, dtype=bool)
+        hit = np.empty(out.shape, dtype=bool)
+        for ki, kj in _offsets(k):
+            win = _window(ki, kj, ho, wo, k)
+            np.equal(x[win], out, out=hit)
+            hit &= pending
+            pending ^= hit
+            np.multiply(gy, hit, out=gx[win])
+        gx += 0.0  # a negative gradient times False is -0.0; store +0.0
         return gx
 
 
@@ -228,8 +262,9 @@ class Flatten(_Layer):
         self.grads = []
         self._shape = None
 
-    def forward(self, x):
-        self._shape = x.shape
+    def forward(self, x, train=True):
+        if train:
+            self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, gy):
@@ -333,21 +368,17 @@ class Model:
                     )
                 layer.params[j][...] = a
                 idx += 1
-        self._rebind()
 
-    def _rebind(self):
-        for layer in self.layers:
-            if isinstance(layer, (Conv2d, Dense)):
-                layer.w, layer.b = layer.params
-
-    def forward(self, x):
+    def forward(self, x, train=True):
+        """Logits for a batch. train=False writes no layer cache, so it
+        may run between a training forward and its backward."""
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise ConfigError(
                 f"input shape {x.shape} does not match model input [batch, {self.input_shape}]"
             )
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, train=train)
         return x
 
     def backward(self, glogits):
@@ -420,7 +451,7 @@ def targets_for(kind, class_idx, num_classes, dtype=np.float64):
 
 def predict_batch(model, inputs):
     """Logits plus argmax class per row; ties go to the lowest index."""
-    logits = model.forward(inputs)
+    logits = model.forward(inputs, train=False)
     return logits, np.argmax(logits, axis=1)
 
 
@@ -512,65 +543,60 @@ def make_optimizer(kind, lr, beta1=0.9, beta2=0.999, epsilon=1e-8, momentum=0.0)
 # ---------------------------------------------------------------------------
 
 
+def _fd_max_rel_err(flat, gflat, loss_value, h):
+    """Central differences over every entry of `flat` (perturbed in place
+    and restored) against the analytic gradient `gflat`."""
+    numeric = np.empty_like(gflat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = loss_value()
+        flat[i] = orig - h
+        lm = loss_value()
+        flat[i] = orig
+        numeric[i] = (lp - lm) / (2.0 * h)
+    # tensor-level normalization keeps near-zero entries from dominating
+    denom = max(np.abs(gflat).max(), np.abs(numeric).max(), 1e-12)
+    return float(np.abs(gflat - numeric).max() / denom)
+
+
+def _grad_check_setup(model, inputs, class_idx, loss_kind):
+    """One training forward/backward (fills the layer grads).
+
+    Returns (x, input gradient, loss_value), where x is a private copy
+    of the inputs and loss_value() re-evaluates the loss on x in eval
+    mode, which leaves the layer caches alone.
+    """
+    x = np.array(inputs, dtype=model.dtype)
+    targets = targets_for(loss_kind, class_idx, model.num_classes, dtype=model.dtype)
+    _, glogits = loss_forward_backward(loss_kind, model.forward(x), targets)
+    gx = model.backward(glogits)
+
+    def loss_value():
+        return loss_forward_backward(loss_kind, model.forward(x, train=False), targets)[0]
+
+    return x, gx, loss_value
+
+
 def grad_check_model(model, inputs, class_idx, loss_kind, h=1e-6, tol=1e-5):
     """Central finite differences vs analytic gradients, per parameter tensor.
 
     The model should be built with dtype float64; returns a list of
     dicts {name, max_rel_err, passed}.
     """
-    x = np.asarray(inputs, dtype=model.dtype)
-    targets = targets_for(loss_kind, class_idx, model.num_classes, dtype=model.dtype)
-
-    def loss_value():
-        logits = model.forward(x)
-        loss, _ = loss_forward_backward(loss_kind, logits, targets)
-        return loss
-
-    logits = model.forward(x)
-    _, glogits = loss_forward_backward(loss_kind, logits, targets)
-    model.backward(glogits)
+    _, _, loss_value = _grad_check_setup(model, inputs, class_idx, loss_kind)
     analytic = [g.copy() for g in model.gradients()]
-
     report = []
     for (name, p), ga in zip(model.parameters(), analytic):
-        flat = p.reshape(-1)
-        gflat = ga.reshape(-1)
-        numeric = np.empty_like(gflat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_value()
-            flat[i] = orig - h
-            lm = loss_value()
-            flat[i] = orig
-            numeric[i] = (lp - lm) / (2.0 * h)
-        # tensor-level normalization keeps near-zero entries from dominating
-        denom = max(np.abs(gflat).max(), np.abs(numeric).max(), 1e-12)
-        max_rel = float(np.abs(gflat - numeric).max() / denom)
+        max_rel = _fd_max_rel_err(p.reshape(-1), ga.reshape(-1), loss_value, h)
         report.append({"name": name, "max_rel_err": max_rel, "passed": max_rel < tol})
     return report
 
 
 def grad_check_input(model, inputs, class_idx, loss_kind, h=1e-6):
     """Max relative error of the input gradient, same scheme as above."""
-    x = np.asarray(inputs, dtype=model.dtype).copy()
-    targets = targets_for(loss_kind, class_idx, model.num_classes, dtype=model.dtype)
-    logits = model.forward(x)
-    _, glogits = loss_forward_backward(loss_kind, logits, targets)
-    gx = model.backward(glogits)
-    flat = x.reshape(-1)
-    gflat = gx.reshape(-1)
-    numeric = np.empty_like(gflat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        lp = loss_forward_backward(loss_kind, model.forward(x), targets)[0]
-        flat[i] = orig - h
-        lm = loss_forward_backward(loss_kind, model.forward(x), targets)[0]
-        flat[i] = orig
-        numeric[i] = (lp - lm) / (2.0 * h)
-    denom = max(np.abs(gflat).max(), np.abs(numeric).max(), 1e-12)
-    return float(np.abs(gflat - numeric).max() / denom)
+    x, gx, loss_value = _grad_check_setup(model, inputs, class_idx, loss_kind)
+    return _fd_max_rel_err(x.reshape(-1), gx.reshape(-1), loss_value, h)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +658,6 @@ class _Reader:
     def u64(self, what):
         return struct.unpack("<Q", self.take(8, what))[0]
 
-    def f64(self, what):
-        return struct.unpack("<d", self.take(8, what))[0]
-
 
 def _read_tensor(r, what):
     ndim = r.u32(f"{what} rank")
@@ -643,7 +666,6 @@ def _read_tensor(r, what):
     if code not in _DTYPE_CODES:
         raise CheckpointError(f"bad dtype code {code} at offset {r.off - 1}")
     dt = _DTYPE_CODES[code]
-    nbytes = int(np.prod(shape)) * dt.itemsize if ndim else dt.itemsize
     count = int(np.prod(shape)) if ndim else 1
     raw = r.take(count * dt.itemsize, f"{what} payload")
     return np.frombuffer(raw, dtype=dt).reshape(shape).copy()

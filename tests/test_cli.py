@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from daylearn import data
+from daylearn import data, nn
 from daylearn.cli import dispatch
 from daylearn.config import (
     load_effective_config,
@@ -195,6 +195,19 @@ def test_exit_code_data_error(tmp_path, capsys):
     rc = dispatch(["split", "--data", str(root), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "DATA_ERROR" in capsys.readouterr().err
+
+
+def test_exit_code_truncated_checkpoint(tmp_path, capsys):
+    model = nn.Model([nn.Conv2dSpec(1, 2, 3, 1, 1), nn.FlattenSpec(), nn.DenseSpec(2 * 8 * 8, 2)],
+                     (1, 8, 8))
+    ckpt = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(model, None, ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:40])
+    rc = dispatch(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(tmp_path / "m.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CHECKPOINT_ERROR: truncated checkpoint")
+    assert "Traceback" not in err
 
 
 def test_run_determinism_byte_identical(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from daylearn import nn
+from daylearn.config import parse_layers
 from daylearn.errors import ConfigError, DataError, NumericError, UsageError
 from daylearn.rng import substream
 
@@ -91,6 +92,156 @@ def test_build_rejects_inconsistent_stack():
         nn.Model([nn.FlattenSpec(), nn.DenseSpec(10, 3)], (1, 8, 8))
     with pytest.raises(ConfigError):
         nn.Model([nn.Conv2dSpec(1, 4, 3)], (1, 8, 8))  # must end flat
+
+
+# ---------------------------------------------------------------------------
+# im2col conv and strided max-pool against loop references
+# ---------------------------------------------------------------------------
+
+
+def _reference_conv(spec, w, b, x, gy):
+    """Per-offset einsum convolution: (out, gw, gb, gx)."""
+    p, st, k = spec.padding, spec.stride, spec.kernel
+    ho, wo = gy.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.zeros(gy.shape) + b[None, :, None, None]
+    gw, gxp = np.zeros_like(w), np.zeros_like(xp)
+    for ki in range(k):
+        for kj in range(k):
+            win = (slice(None), slice(None), slice(ki, ki + st * ho, st), slice(kj, kj + st * wo, st))
+            out += np.einsum("ncij,oc->noij", xp[win], w[:, :, ki, kj])
+            gw[:, :, ki, kj] = np.einsum("noij,ncij->oc", gy, xp[win])
+            gxp[win] += np.einsum("noij,oc->ncij", gy, w[:, :, ki, kj])
+    h, wd = x.shape[2:]
+    return out, gw, gy.sum(axis=(0, 2, 3)), gxp[:, :, p : p + h, p : p + wd]
+
+
+@pytest.mark.parametrize("ci,co,k,st,p,hw", [
+    (1, 16, 3, 1, 1, 12), (3, 4, 3, 1, 1, 9), (2, 3, 3, 2, 1, 9), (2, 3, 2, 2, 0, 8), (3, 2, 1, 1, 0, 5),
+])
+def test_conv_matches_einsum_reference(ci, co, k, st, p, hw):
+    spec = nn.Conv2dSpec(ci, co, k, st, p)
+    conv = nn.Conv2d(spec, substream(1, "conv"), np.float64)
+    conv.b[...] = substream(2, "bias").standard_normal(co)
+    rng = substream(3, "x")
+    x = rng.standard_normal((3, ci, hw, hw))
+    out = conv.forward(x)
+    gy = rng.standard_normal(out.shape)
+    gx = conv.backward(gy)
+    ref_out, ref_gw, ref_gb, ref_gx = _reference_conv(spec, conv.w, conv.b, x, gy)
+    # only the summation order differs from the reference
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(conv.grads[0], ref_gw, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(conv.grads[1], ref_gb, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k,hw", [(2, 8), (2, 9), (3, 8), (4, 10)])
+def test_maxpool_matches_argmax_reference(k, hw):
+    # small integers give many ties, exact zeros and negative windows
+    x = substream(k, "pool", hw).integers(-2, 3, size=(2, 3, hw, hw)).astype(np.float64)
+    layer = nn.MaxPool2d(nn.MaxPool2dSpec(k), None, np.float64)
+    out = layer.forward(x)
+    gy = substream(k, "gy", hw).standard_normal(out.shape)
+    gx = layer.backward(gy)
+    n, c, ho, wo = out.shape
+    win = x[:, :, : ho * k, : wo * k].reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, ho, wo, k * k)
+    idx = np.argmax(win, axis=-1)
+    assert out.tobytes() == np.take_along_axis(win, idx[..., None], axis=-1)[..., 0].tobytes()
+    gwin = np.zeros(win.shape)
+    np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
+    ref = np.zeros(x.shape)
+    ref[:, :, : ho * k, : wo * k] = (
+        gwin.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho * k, wo * k)
+    )
+    assert gx.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# eval mode
+# ---------------------------------------------------------------------------
+
+BENCH_STACKS = [
+    "conv:16:3:1:1,relu,pool:2,conv:16:3:1:1,relu,pool:2,flatten,dense:3",
+    "conv:4:3:1:1,relu,pool:4,flatten,dense:4",
+]
+
+
+def _bench_model(layers, seed=0):
+    return nn.Model(parse_layers(layers, 32), (1, 32, 32), seed=seed, dtype=np.float64)
+
+
+def _tied_inputs(seed, n):
+    # integer pixels (ties everywhere), zero rows and a zero block
+    x = substream(seed, "tied").integers(-1, 2, size=(n, 1, 32, 32)).astype(np.float64)
+    x[:, :, :4] = 0.0
+    x[0, :, 8:16, 8:16] = 0.0
+    return x
+
+
+def _layer_state(model):
+    names = ("_cache", "_mask", "_x", "_shape")
+    return [getattr(layer, a, None) for layer in model.layers for a in names]
+
+
+@pytest.mark.parametrize("layers", BENCH_STACKS)
+def test_eval_logits_byte_equal_train_logits(layers):
+    m = _bench_model(layers)
+    x = _tied_inputs(1, 5)
+    ev = m.forward(x, train=False)
+    assert all(state is None for state in _layer_state(m))  # eval writes no layer cache
+    tr = m.forward(x)
+    assert ev.tobytes() == tr.tobytes()
+    _, pred = nn.predict_batch(m, x)
+    assert list(pred) == list(np.argmax(tr, axis=1))
+
+
+@pytest.mark.parametrize("layers", BENCH_STACKS)
+def test_eval_forward_between_forward_and_backward_keeps_grads(layers):
+    m = _bench_model(layers, seed=4)
+    x = _tied_inputs(2, 4)
+    y = np.array([0, 1, 2, 0])
+    other = _tied_inputs(3, 7)
+
+    def grads(interleave):
+        _, g = nn.softmax_cross_entropy(m.forward(x), y)
+        if interleave:
+            m.forward(other, train=False)
+        gx = m.backward(g)
+        return [a.tobytes() for a in m.gradients() + [gx]]
+
+    assert grads(False) == grads(True)
+
+
+GRAD_CHECK_CASES = {
+    "stride2_padded_conv": (
+        [nn.Conv2dSpec(1, 2, 3, 2, 1), nn.ReLUSpec(), nn.Conv2dSpec(2, 3, 3, 2, 1),
+         nn.FlattenSpec(), nn.DenseSpec(3 * 2 * 2, 3)],
+        (1, 8, 8),
+    ),
+    "ragged_pool2": (
+        [nn.Conv2dSpec(1, 2, 3, 1, 1), nn.ReLUSpec(), nn.MaxPool2dSpec(2),
+         nn.FlattenSpec(), nn.DenseSpec(2 * 4 * 4, 3)],
+        (1, 9, 9),
+    ),
+    "pool3": (
+        [nn.Conv2dSpec(1, 2, 3, 1, 1), nn.ReLUSpec(), nn.MaxPool2dSpec(3),
+         nn.FlattenSpec(), nn.DenseSpec(2 * 3 * 3, 3)],
+        (1, 10, 10),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAD_CHECK_CASES))
+@pytest.mark.parametrize("loss_kind", nn.LOSS_KINDS)
+def test_grad_check_strided_and_ragged(case, loss_kind):
+    specs, shape = GRAD_CHECK_CASES[case]
+    m = nn.Model(specs, shape, seed=13, dtype=np.float64)
+    x, y = _random_batch(13, shape=shape)
+    report = nn.grad_check_model(m, x, y, loss_kind)
+    assert max(item["max_rel_err"] for item in report) < 1e-5
+    assert nn.grad_check_input(m, x, y, loss_kind) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +390,7 @@ class _FixedLogitsModel:
     def __init__(self, logits):
         self._logits = np.asarray(logits)
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         return self._logits
 
 
