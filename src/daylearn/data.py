@@ -281,55 +281,92 @@ class AugmentConfig:
 AUGMENT_OFF = AugmentConfig(0.0, 0.0, 0.0, 0.0)
 
 
-def _rotate_small(pixels, angle_deg):
-    # inverse-map nearest-neighbor rotation about the image center; fill 0
-    h, w = pixels.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    theta = math.radians(angle_deg)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    yy, xx = np.mgrid[0:h, 0:w]
-    dy, dx = yy - cy, xx - cx
-    src_y = np.rint(cy + cos_t * dy + sin_t * dx).astype(np.int64)
-    src_x = np.rint(cx - sin_t * dy + cos_t * dx).astype(np.int64)
-    valid = (src_y >= 0) & (src_y < h) & (src_x >= 0) & (src_x < w)
-    out = np.zeros_like(pixels)
-    out[valid] = pixels[src_y[valid], src_x[valid]]
+def _draw(config: AugmentConfig, rng, h, w):
+    """One image's (flip, cos, sin, dy, dx, brightness factor)."""
+    flip = config.hflip_probability > 0 and rng.random() < config.hflip_probability
+    theta = 0.0
+    if config.rotation_degrees > 0:
+        theta = math.radians(rng.uniform(-config.rotation_degrees, config.rotation_degrees))
+    dy = dx = 0
+    t = config.translate_fraction
+    if t > 0:
+        dy = int(round(rng.uniform(-t, t) * h))
+        dx = int(round(rng.uniform(-t, t) * w))
+    factor = 1.0
+    if config.jitter_fraction > 0:
+        factor = rng.uniform(1.0 - config.jitter_fraction, 1.0 + config.jitter_fraction)
+    return flip, math.cos(theta), math.sin(theta), dy, dx, factor
+
+
+def _rint_index(a, b, itype):
+    """rint(a + b) as an index array, with one float64 temporary."""
+    t = a + b
+    np.rint(t, out=t)
+    return t.astype(itype)
+
+
+def _warp(px, flip, cos_t, sin_t, dy, dx, rotate):
+    """Flip, rotate (when `rotate`) and shift every image of the stack in
+    one gather. Output (y, x) reads the rotated image at (y - dy, x - dx),
+    which reads the flipped image at (ys, xs); pixels from outside the
+    image are 0. Index arrays are int32 whenever the stack is small enough
+    and are updated in place, to keep the transient footprint small."""
+    n, h, w = px.shape
+    itype = np.int32 if px.size < 2**31 else np.int64
+    ys = np.arange(h, dtype=itype)[None, :, None] - dy.astype(itype)
+    xs = np.arange(w, dtype=itype)[None, None, :] - dx.astype(itype)
+    valid = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    if rotate:
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        ry, rx = ys - cy, xs - cx
+        ys = _rint_index(cy + cos_t * ry, sin_t * rx, itype)
+        xs = _rint_index(cx - sin_t * ry, cos_t * rx, itype)
+        valid &= (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    np.subtract(w - 1, xs, out=xs, where=flip)
+    src = ys * w + xs
+    src += (np.arange(n, dtype=itype) * (h * w))[:, None, None]
+    src *= valid
+    out = px.reshape(-1)[src]
+    out *= valid
     return out
 
 
-def _translate(pixels, dy, dx):
-    h, w = pixels.shape
-    out = np.zeros_like(pixels)
-    ys = slice(max(dy, 0), min(h + dy, h))
-    xs = slice(max(dx, 0), min(w + dx, w))
-    ys_src = slice(max(-dy, 0), min(h - dy, h))
-    xs_src = slice(max(-dx, 0), min(w - dx, w))
-    out[ys, xs] = pixels[ys_src, xs_src]
-    return out
+def augment_batch(pixels, config: AugmentConfig, rngs):
+    """Augment an (n, h, w) uint8 stack; image i draws from rngs[i].
+
+    Each image draws, in this order: hflip, rotation angle, translation
+    (dy, dx), brightness factor, each only when its magnitude is > 0.
+    Rotation is inverse-map nearest neighbour about the image centre and
+    translation an integer shift, both filling 0; together with the flip
+    they make one gather index per image. The jitter multiplies by a
+    per-image factor, rounds and clips to [0, 255]. The result is
+    byte-equal to calling `augment` on each image with its own rng.
+    """
+    px = np.asarray(pixels, dtype=np.uint8)
+    n, h, w = px.shape
+    draws = zip(*(_draw(config, rng, h, w) for rng in rngs))
+    flip, cos_t, sin_t, dy, dx, factor = (np.array(d)[:, None, None] for d in draws)
+    out = px
+    if flip.any() or config.rotation_degrees > 0 or dy.any() or dx.any():
+        out = _warp(px, flip, cos_t, sin_t, dy, dx, config.rotation_degrees > 0)
+    if config.jitter_fraction > 0:
+        t = out.astype(np.float64)
+        t *= factor
+        np.rint(t, out=t)
+        np.clip(t, 0, 255, out=t)
+        out = t.astype(np.uint8)
+    return np.ascontiguousarray(out)
 
 
 def augment(image: Image, config: AugmentConfig, rng) -> Image:
     """Random hflip, small rotation, integer translation, brightness jitter.
 
     Shape-preserving; output stays in [0,255]; the all-off config is the
-    identity. Draw order is fixed so substreams replay exactly.
+    identity. Draw order is fixed so substreams replay exactly. This is
+    `augment_batch` on a stack of one image, so the bytes are the same
+    either way.
     """
-    px = image.pixels
-    if config.hflip_probability > 0 and rng.random() < config.hflip_probability:
-        px = px[:, ::-1]
-    if config.rotation_degrees > 0:
-        angle = rng.uniform(-config.rotation_degrees, config.rotation_degrees)
-        px = _rotate_small(px, angle)
-    if config.translate_fraction > 0:
-        h, w = px.shape
-        dy = int(round(rng.uniform(-config.translate_fraction, config.translate_fraction) * h))
-        dx = int(round(rng.uniform(-config.translate_fraction, config.translate_fraction) * w))
-        if dy or dx:
-            px = _translate(px, dy, dx)
-    if config.jitter_fraction > 0:
-        factor = rng.uniform(1.0 - config.jitter_fraction, 1.0 + config.jitter_fraction)
-        px = np.clip(np.rint(px.astype(np.float64) * factor), 0, 255).astype(np.uint8)
-    return Image(np.ascontiguousarray(px))
+    return Image(augment_batch(image.pixels[None], config, [rng])[0])
 
 
 @dataclass(frozen=True)
@@ -342,10 +379,15 @@ class NormalizationSpec:
             raise ConfigError("normalization std must be > 0")
 
 
-def normalize(image: Image, spec: NormalizationSpec = NormalizationSpec(), dtype=np.float32):
-    """(pixel/255 - mean)/std, shaped [1, H, W]."""
-    t = (image.pixels.astype(np.float64) / 255.0 - spec.mean) / spec.std
-    return t[None, :, :].astype(dtype)
+def normalize(image, spec: NormalizationSpec = NormalizationSpec(), dtype=np.float32):
+    """(pixel/255 - mean)/std. An Image gives [1, H, W]; an (n, H, W)
+    uint8 stack gives [n, 1, H, W], byte-equal to stacking per image."""
+    px = image.pixels if isinstance(image, Image) else np.asarray(image)
+    t = px.astype(np.float64)
+    t /= 255.0
+    t -= spec.mean
+    t /= spec.std
+    return t[..., None, :, :].astype(dtype)
 
 
 # ---------------------------------------------------------------------------

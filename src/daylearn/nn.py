@@ -15,20 +15,34 @@ computes the same logits with the same operations but writes no layer
 state, so an evaluation may run between a training forward and its
 backward.
 
-Conv2d is im2col plus one GEMM (Chellapilla et al. 2006): the k*k
-strided views of the padded input are copied into one contiguous
-(n, cin*k*k, Ho*Wo) column buffer that meets w.reshape(cout, -1) in a
-single batched matmul. Backward rebuilds the columns for the weight
-gradient instead of caching them, and scatters the input gradient one
-kernel offset at a time. MaxPool2d takes the running maximum over the
-k*k strided slices; its backward sends each window's gradient to the
-first maximum in row-major order.
+Conv2d is im2col plus one GEMM (Chellapilla et al. 2006) over flat
+rows. The input is padded into a zero buffer of Wp = W + 2p columns,
+with spare rows so the last kernel offset stays in bounds, and viewed as
+(n, cin, rows*Wp). Offset (ki, kj) takes the 1-D slice that starts at
+ki*Wp + kj and holds Ho*Wp elements at step `stride`: one long run per
+(n, cin) rather than Ho runs of Wo. These fill a (n, cin*k*k, Ho*Wp)
+column buffer that meets w.reshape(cout, -1) in one batched matmul. The
+last Wp - Wo columns of each output row wrap into the next input row;
+they are dropped before the bias add. For stride s > 1 about 1 - 1/s of
+the GEMM columns are such waste; no model here uses stride > 1, so one
+kernel serves every stride. Backward rebuilds columns from the cached
+flat buffer instead of caching them. The weight gradient takes only the
+Ho*Wo real positions, one (Ho, Wo) window per offset, so its GEMM has no
+wrap columns to skip. The input gradient zero-extends the output
+gradient to Wp columns and scatter-adds w[:, :, ki, kj].T @ g along the
+forward's 1-D slices, one offset at a time. MaxPool2d takes the running
+maximum over the k*k strided slices; its backward sends each window's
+gradient to the first maximum in row-major order.
+
+`Model.backward(g, input_grad=False)` stops at the first layer with
+parameters: that layer fills its grads but skips its input gradient,
+which training never uses.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,11 +144,41 @@ class Conv2d(_Layer):
         self.grads = [None, None]
         self._cache = None
 
-    def _im2col(self, xp, ho, wo):
-        """(n, cin*k*k, ho*wo) columns; row order matches w.reshape(cout, -1)."""
+    def _geometry(self, h, w):
+        """(ho, wo, padded width wp, padded rows including spare ones)."""
+        s = self.spec
+        ho = (h + 2 * s.padding - s.kernel) // s.stride + 1
+        wo = (w + 2 * s.padding - s.kernel) // s.stride + 1
+        wp = w + 2 * s.padding
+        # the last offset's slice ends here in the flat buffer
+        end = (s.kernel - 1) * (wp + 1) + s.stride * (ho * wp - 1) + 1
+        return ho, wo, wp, -(-end // wp)
+
+    def _slices(self, ho, wp):
+        """Per kernel offset, the 1-D slice of the flat padded input that
+        holds its ho*wp GEMM columns."""
+        st = self.spec.stride
+        span = st * (ho * wp - 1) + 1
+        for ki, kj in _offsets(self.spec.kernel):
+            base = ki * wp + kj
+            yield ki, kj, slice(base, base + span, st)
+
+    def _flat_cols(self, flat, ho, wp):
+        """(n, cin*k*k, ho*wp) columns; row order matches w.reshape(cout, -1)."""
         k = self.spec.kernel
-        n, c = xp.shape[:2]
-        cols = np.empty((n, c, k, k, ho, wo), dtype=xp.dtype)
+        n, c = flat.shape[:2]
+        cols = np.empty((n, c, k, k, ho * wp), dtype=flat.dtype)
+        for ki, kj, sl in self._slices(ho, wp):
+            cols[:, :, ki, kj] = flat[..., sl]
+        return cols.reshape(n, c * k * k, ho * wp)
+
+    def _window_cols(self, flat, ho, wo, wp):
+        """(n, cin*k*k, ho*wo) columns without wrap positions: the weight
+        gradient GEMM then sums over the ho*wo real positions only."""
+        k = self.spec.kernel
+        n, c = flat.shape[:2]
+        xp = flat.reshape(n, c, -1, wp)
+        cols = np.empty((n, c, k, k, ho, wo), dtype=flat.dtype)
         for ki, kj in _offsets(k):
             cols[:, :, ki, kj] = xp[_window(ki, kj, ho, wo, self.spec.stride)]
         return cols.reshape(n, c * k * k, ho * wo)
@@ -142,37 +186,39 @@ class Conv2d(_Layer):
     def forward(self, x, train=True):
         s = self.spec
         n, c, h, w = x.shape
-        p, st, k = s.padding, s.stride, s.kernel
-        ho = (h + 2 * p - k) // st + 1
-        wo = (w + 2 * p - k) // st + 1
+        p = s.padding
+        ho, wo, wp, rows = self._geometry(h, w)
         if ho < 1 or wo < 1:
             raise ConfigError(f"conv output would be empty for input {x.shape}")
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        out = np.matmul(self.w.reshape(s.out_channels, -1), self._im2col(xp, ho, wo))
-        out = out.reshape(n, s.out_channels, ho, wo)
+        xp = np.zeros((n, c, rows, wp), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x
+        flat = xp.reshape(n, c, rows * wp)
+        out = np.matmul(self.w.reshape(s.out_channels, -1), self._flat_cols(flat, ho, wp))
+        # columns wo..wp-1 of each output row wrap into the next input row
+        out = np.ascontiguousarray(out.reshape(n, s.out_channels, ho, wp)[..., :wo])
         out += self.b[None, :, None, None]
         if train:
-            self._cache = (xp, x.shape, ho, wo)
+            self._cache = (flat, x.shape)
         return out
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         s = self.spec
-        xp, xshape, ho, wo = self._cache
+        flat, (n, c, h, w) = self._cache
         p = s.padding
-        n = gy.shape[0]
+        ho, wo, wp, rows = self._geometry(h, w)
         g = gy.reshape(n, s.out_channels, ho * wo)
-        cols = self._im2col(xp, ho, wo)
-        gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
-        del cols  # freed before gxp is allocated: a lower peak footprint
-        gxp = np.zeros_like(xp)
-        for ki, kj in _offsets(s.kernel):
-            part = np.matmul(self.w[:, :, ki, kj].T, g)
-            gxp[_window(ki, kj, ho, wo, s.stride)] += part.reshape(n, s.in_channels, ho, wo)
-        gb = gy.sum(axis=(0, 2, 3))
-        _, _, h, w = xshape
-        gx = gxp[:, :, p : p + h, p : p + w] if p else gxp
-        self.grads = [gw, gb]
-        return gx
+        gw = np.matmul(g, self._window_cols(flat, ho, wo, wp).transpose(0, 2, 1)).sum(axis=0)
+        self.grads = [gw.reshape(self.w.shape), gy.sum(axis=(0, 2, 3))]
+        if not input_grad:
+            return None
+        g = np.zeros((n, s.out_channels, ho, wp), dtype=gy.dtype)
+        g[..., :wo] = gy  # the wrap columns get zero gradient
+        g = g.reshape(n, s.out_channels, ho * wp)
+        # w2.T @ g one offset's rows at a time: no second column-sized buffer
+        gflat = np.zeros_like(flat)
+        for ki, kj, sl in self._slices(ho, wp):
+            gflat[..., sl] += np.matmul(self.w[:, :, ki, kj].T, g)
+        return gflat.reshape(n, c, rows, wp)[:, :, p : p + h, p : p + w]
 
 
 class Dense(_Layer):
@@ -193,9 +239,9 @@ class Dense(_Layer):
             self._x = x
         return x @ self.w.T + self.b
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         self.grads = [gy.T @ self._x, gy.sum(axis=0)]
-        return gy @ self.w
+        return gy @ self.w if input_grad else None
 
 
 class ReLU(_Layer):
@@ -212,7 +258,9 @@ class ReLU(_Layer):
         return np.maximum(x, x.dtype.type(0))
 
     def backward(self, gy):
-        return np.where(self._mask, gy, gy.dtype.type(0))
+        gx = gy * self._mask
+        gx += 0.0  # a negative gradient times False is -0.0; store +0.0
+        return gx
 
 
 class MaxPool2d(_Layer):
@@ -336,6 +384,7 @@ class Model:
         if len(shape) != 1:
             raise ConfigError(f"model must end with a flat logit vector, got shape {shape}")
         self.output_shape = shape
+        self._first_trained = next((i for i, l in enumerate(self.layers) if l.params), -1)
 
     @property
     def num_classes(self):
@@ -381,11 +430,21 @@ class Model:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, glogits):
+    def backward(self, glogits, input_grad=True):
+        """Fill every layer's grads; return the input gradient.
+
+        With input_grad=False the pass stops at the first layer that has
+        parameters: it fills its grads without computing its input
+        gradient, and backward returns None.
+        """
         g = np.asarray(glogits, dtype=self.dtype)
-        for layer in reversed(self.layers):
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[i]
+            if not input_grad and i == self._first_trained:
+                layer.backward(g, input_grad=False)
+                return None
             g = layer.backward(g)
-        return g
+        return g if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +682,9 @@ def _spec_ints(spec):
 
 def _spec_from_ints(kind_id, vals):
     cls = _ID_KINDS[kind_id]
+    want = len(fields(cls))
+    if len(vals) != want:
+        raise CheckpointError(f"layer kind {cls.__name__} takes {want} ints, got {len(vals)}")
     return cls(*vals)
 
 

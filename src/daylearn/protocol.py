@@ -19,20 +19,19 @@ from . import nn
 from .data import (
     AugmentConfig,
     NormalizationSpec,
-    augment as augment_image,
+    augment_batch as augment_image,  # the name the benchmark tracer wraps
     ingest_directory,
     normalize,
     pgm_read,
     split_manifest,
 )
-from .errors import ConfigError, DataError, NumericError, UsageError
+from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
 from .metrics import MetricsRecord, RunLog, CSV_COLUMNS, format_record, read_metrics
 from .rng import substream
 from .schedule import (
     GLOBAL_HOLDOUT,
     STRATEGIES,
     day_split,
-    dayplan_read,
     dayplan_write,
     plan_days,
 )
@@ -89,17 +88,6 @@ def build_model(config: ExperimentConfig, dtype=np.float32):
     return nn.Model(config.layers, shape, seed=config.seed, dtype=dtype)
 
 
-def make_optimizer(config: ExperimentConfig):
-    return nn.make_optimizer(
-        config.optimizer_kind,
-        config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-        momentum=config.momentum,
-    )
-
-
 class DatasetCache:
     """Loads PGM files once; serves raw images and normalized tensors."""
 
@@ -146,26 +134,22 @@ def evaluate(model, items, loss_kind, batch_size):
 def _train_epoch(model, optimizer, config, cache, entries, labels, day, epoch):
     """One seeded pass over a day's training entries; returns (loss, acc, steps)."""
     order = substream(config.seed, "shuffle", day, epoch).permutation(len(entries))
+    labels = np.asarray(labels, dtype=np.int64)
     total_loss = 0.0
     correct = 0
     steps = 0
     for batch in _batches(len(entries), config.batch_size):
-        xs, ys = [], []
-        for j in batch:
-            entry_index, rel = entries[order[j]]
-            img = cache.image(rel)
-            rng = substream(config.seed, "aug", day, epoch, entry_index)
-            img = augment_image(img, config.augment, rng)
-            xs.append(normalize(img, config.norm, dtype=model.dtype))
-            ys.append(labels[order[j]])
-        x = np.stack(xs)
-        y = np.array(ys, dtype=np.int64)
+        picked = order[batch.start : batch.stop]
+        pixels = np.stack([cache.image(entries[i][1]).pixels for i in picked])
+        rngs = [substream(config.seed, "aug", day, epoch, entries[i][0]) for i in picked]
+        x = normalize(augment_image(pixels, config.augment, rngs), config.norm, dtype=model.dtype)
+        y = labels[picked]
         logits = model.forward(x)
         targets = nn.targets_for(config.loss_kind, y, model.num_classes, dtype=model.dtype)
         loss, glogits = nn.loss_forward_backward(config.loss_kind, logits, targets)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite training loss on day {day}, epoch {epoch}")
-        model.backward(glogits)
+        model.backward(glogits, input_grad=False)
         optimizer.step([p for _, p in model.parameters()], model.gradients())
         total_loss += loss * len(batch)
         correct += int((np.argmax(logits, axis=1) == y).sum())
@@ -254,9 +238,14 @@ def _write_state(out_dir, config_hash, last_day, ckpt_name):
 
 def _read_state(out_dir):
     path = os.path.join(out_dir, _STATE_FILE)
-    with open(path, "r", encoding="utf-8") as f:
-        kv = dict(line.split("=", 1) for line in f.read().splitlines() if line)
-    return kv["config_hash"], int(kv["last_day"]), kv["checkpoint"]
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            kv = dict(line.partition("=")[::2] for line in f.read().splitlines())
+        return kv["config_hash"], int(kv["last_day"]), kv["checkpoint"]
+    except (KeyError, ValueError):  # UnicodeDecodeError is a ValueError
+        raise CheckpointError(
+            f"corrupt run state {path}: needs config_hash, integer last_day and checkpoint"
+        ) from None
 
 
 class _CsvWriter:
@@ -335,13 +324,9 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     dayplan_write(plan, os.path.join(out_dir, _DAYPLAN_FILE))
 
     def day_items(indices):
-        # indices are positions within rest_idx; entry_index keys augmentation
-        out = []
-        for i in indices:
-            ei = rest_idx[i]
-            rel, _ = train_m.entries[ei]
-            out.append((ei, rel, int(labels_all[ei])))
-        return out
+        # (entry_index, rel_path, label) per train-manifest index;
+        # entry_index keys augmentation
+        return [(i, train_m.entries[i][0], int(labels_all[i])) for i in indices]
 
     val_items = _eval_items(cache, val_m)
     test_items = _eval_items(cache, test_m)
@@ -361,7 +346,6 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         log.records.extend(kept)
         csv.start([format_record(run_id, r) for r in kept])
         start_day = last_day + 1
-        plan = dayplan_read(os.path.join(out_dir, _DAYPLAN_FILE))
     else:
         model = build_model(config)
         if model.num_classes != len(train_m.class_names):
@@ -369,11 +353,18 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
                 f"model emits {model.num_classes} logits but the dataset has "
                 f"{len(train_m.class_names)} classes"
             )
-        optimizer = make_optimizer(config)
+        optimizer = nn.make_optimizer(
+            config.optimizer_kind,
+            config.learning_rate,
+            beta1=config.beta1,
+            beta2=config.beta2,
+            epsilon=config.epsilon,
+            momentum=config.momentum,
+        )
         csv.start([])
         if subset_idx:
             pre_records = pretrain(
-                model, optimizer, config, cache, day_items_from(train_m, labels_all, subset_idx), val_items
+                model, optimizer, config, cache, day_items(subset_idx), val_items
             )
             log.records.extend(pre_records)
             csv.append(pre_records)
@@ -382,12 +373,12 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         prev_batch = plan.batch(day - 1) if day > 1 else None
         curr_batch = plan.batch(day)
         train_idx, val_idx = day_split(config.strategy, day, prev_batch, curr_batch, config.seed)
-        train_items = day_items(train_idx)
+        train_items = day_items(rest_idx[i] for i in train_idx)
         if val_idx is None:
             day_val_items = val_items
         else:
             day_val_items = [
-                (cache.tensor(rel), label) for _, rel, label in day_items(val_idx)
+                (cache.tensor(rel), label) for _, rel, label in day_items(rest_idx[i] for i in val_idx)
             ]
         records, steps = run_day(model, optimizer, config, cache, train_items, day_val_items, day)
         total_steps += steps
@@ -411,11 +402,6 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     _write_state(out_dir, cfg_hash, len(plan), _FINAL_CKPT)
     _write_meta(out_dir, config, t0, total_steps)
     return log
-
-
-def day_items_from(train_m, labels_all, indices):
-    """(entry_index, rel_path, label) triples for direct manifest indices."""
-    return [(int(i), train_m.entries[i][0], int(labels_all[i])) for i in indices]
 
 
 def _write_meta(out_dir, config, t0, total_steps, interrupted_at=None):

@@ -96,3 +96,15 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert o2.t == 38
     for (_, pa), (_, pb) in zip(m1.parameters(), m2.parameters()):
         assert pa.tobytes() == pb.tobytes()
+
+
+def test_layer_int_count_mismatch_rejected(tmp_path):
+    m = nn.Model(make_specs(), (1, 8, 8), seed=6)
+    path = tmp_path / "full.bin"
+    nn.checkpoint_save(m, None, path)
+    data = bytearray(path.read_bytes())
+    assert (data[24], data[25]) == (1, 5)  # first layer: conv kind id, 5 ints
+    data[25] = 4
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="Conv2dSpec takes 5 ints, got 4"):
+        nn.checkpoint_load(path)

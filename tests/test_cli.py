@@ -210,6 +210,38 @@ def test_exit_code_truncated_checkpoint(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_exit_code_corrupt_layer_table(tmp_path, capsys):
+    model = nn.Model([nn.Conv2dSpec(1, 2, 3, 1, 1), nn.FlattenSpec(), nn.DenseSpec(2 * 8 * 8, 2)],
+                     (1, 8, 8))
+    ckpt = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(model, None, ckpt)
+    data = bytearray(ckpt.read_bytes())
+    data[25] = 4  # the first layer's int count: a conv stores 5
+    ckpt.write_bytes(bytes(data))
+    rc = dispatch(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(tmp_path / "m.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CHECKPOINT_ERROR: layer kind Conv2dSpec takes 5 ints")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("state", ["", "config_hash=abc\nlast_day=two\ncheckpoint=x.bin\n", "garbage\n"],
+                         ids=["empty", "bad_last_day", "no_keys"])
+def test_resume_with_corrupt_state_exits_1(tmp_path, capsys, state):
+    dd = tmp_path / "data"
+    dispatch(["gen-synth", "--out", str(dd), "--classes", "2", "--per-class", "10",
+              "--size", "8", "--seed", "1"])
+    argv = ["run", "--out", str(tmp_path / "r"), f"--data.root={dd}", "--data.image_size=8",
+            "--model.layers=conv:2:3:1:1,relu,pool:2,flatten,dense:2",
+            "--schedule.days=2", "--schedule.n_per_day=4", "--protocol.batch_size=4"]
+    assert dispatch(argv + ["--stop-after-day", "1"]) == 0
+    (tmp_path / "r" / "state.txt").write_text(state)
+    capsys.readouterr()
+    assert dispatch(argv + ["--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CHECKPOINT_ERROR: corrupt run state") and "state.txt" in err
+
+
 def test_run_determinism_byte_identical(tmp_path):
     dd = tmp_path / "data"
     dispatch(["gen-synth", "--out", str(dd), "--classes", "2", "--per-class", "20",
@@ -225,4 +257,5 @@ def test_run_determinism_byte_identical(tmp_path):
 
 def test_grad_check_subcommand_small(capsys):
     assert dispatch(["grad-check", "--seeds", "2"]) == 0
-    assert "OK" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "OK" in line] == ["grad-check: OK"]

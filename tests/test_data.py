@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,67 @@ def test_augment_property_run():
     a = data.augment(img, cfg, substream(6, "aug", 42))
     b = data.augment(img, cfg, substream(6, "aug", 42))
     assert a == b
+
+
+def _reference_augment(pixels, config, rng):
+    """One image through flip, rotation, translation and jitter in turn."""
+    px = pixels
+    h, w = px.shape
+    if config.hflip_probability > 0 and rng.random() < config.hflip_probability:
+        px = px[:, ::-1]
+    if config.rotation_degrees > 0:
+        theta = math.radians(rng.uniform(-config.rotation_degrees, config.rotation_degrees))
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        yy, xx = np.mgrid[0:h, 0:w]
+        dy, dx = yy - cy, xx - cx
+        sy = np.rint(cy + math.cos(theta) * dy + math.sin(theta) * dx).astype(np.int64)
+        sx = np.rint(cx - math.sin(theta) * dy + math.cos(theta) * dx).astype(np.int64)
+        ok = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
+        rotated = np.zeros_like(px)
+        rotated[ok] = px[sy[ok], sx[ok]]
+        px = rotated
+    if config.translate_fraction > 0:
+        t = config.translate_fraction
+        dy = int(round(rng.uniform(-t, t) * h))
+        dx = int(round(rng.uniform(-t, t) * w))
+        shifted = np.zeros_like(px)
+        shifted[max(dy, 0) : min(h + dy, h), max(dx, 0) : min(w + dx, w)] = px[
+            max(-dy, 0) : min(h - dy, h), max(-dx, 0) : min(w - dx, w)
+        ]
+        px = shifted
+    if config.jitter_fraction > 0:
+        factor = rng.uniform(1.0 - config.jitter_fraction, 1.0 + config.jitter_fraction)
+        px = np.clip(np.rint(px.astype(np.float64) * factor), 0, 255).astype(np.uint8)
+    return px
+
+
+@pytest.mark.parametrize("config", [
+    data.AugmentConfig(),
+    data.AUGMENT_OFF,
+    data.AugmentConfig(1.0, 0.0, 0.0, 0.0),
+    data.AugmentConfig(0.5, 15.0, 0.2, 0.3),
+], ids=["default", "off", "hflip", "strong"])
+def test_augment_batch_byte_equal_per_image(config):
+    for seed in range(50):
+        h, w = (32, 32) if seed % 5 else (9, 14)
+        stack = substream(seed, "stack").integers(0, 256, size=(6, h, w), dtype=np.uint8)
+        rngs = [substream(seed, "aug", i) for i in range(len(stack))]
+        batch = data.augment_batch(stack, config, rngs)
+        assert batch.dtype == np.uint8 and batch.shape == stack.shape
+        ref = np.stack([_reference_augment(px, config, substream(seed, "aug", i)) for i, px in enumerate(stack)])
+        assert batch.tobytes() == ref.tobytes()
+        singles = [data.augment(data.Image(px), config, substream(seed, "aug", i)).pixels for i, px in enumerate(stack)]
+        assert np.stack(singles).tobytes() == ref.tobytes()
+
+
+def test_normalize_stack_byte_equal_per_image():
+    stack = substream(8, "stack").integers(0, 256, size=(5, 7, 9), dtype=np.uint8)
+    spec = data.NormalizationSpec(0.3, 0.2)
+    for dtype in (np.float32, np.float64):
+        got = data.normalize(stack, spec, dtype=dtype)
+        assert got.shape == (5, 1, 7, 9) and got.dtype == dtype
+        ref = np.stack([data.normalize(data.Image(px), spec, dtype=dtype) for px in stack])
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_normalize_values():

@@ -62,6 +62,17 @@ def test_relu_forward_backward():
     assert np.array_equal(gx, [[0.0, 1.0]])
 
 
+def test_relu_backward_bytes_match_select():
+    # masked-out negative gradients must come back as +0.0, not -0.0
+    layer = nn.ReLU(nn.ReLUSpec(), None, np.float32)
+    rng = substream(7, "relu")
+    layer.forward(rng.integers(-1, 2, size=(4, 3, 8, 8)).astype(np.float32))
+    gy = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+    gy[0] = 0.0
+    gx = layer.backward(gy)
+    assert gx.tobytes() == np.where(layer._mask, gy, np.float32(0)).tobytes()
+
+
 def test_dense_zero_upstream_gives_zero_grads():
     layer = nn.Dense(nn.DenseSpec(3, 2), substream(0, "t"), np.float64)
     layer.forward(np.ones((4, 3)))
@@ -120,11 +131,26 @@ def _reference_conv(spec, w, b, x, gy):
     (1, 16, 3, 1, 1, 12), (3, 4, 3, 1, 1, 9), (2, 3, 3, 2, 1, 9), (2, 3, 2, 2, 0, 8), (3, 2, 1, 1, 0, 5),
 ])
 def test_conv_matches_einsum_reference(ci, co, k, st, p, hw):
+    _check_conv_against_reference(ci, co, k, st, p, hw, hw)
+
+
+@pytest.mark.parametrize("ci,co,k,st,p,h,w", [
+    (2, 3, 2, 2, 0, 8, 9),  # more than half of each GEMM row is wrap columns
+    (2, 3, 3, 2, 1, 9, 11),
+    (1, 2, 3, 3, 2, 10, 7),
+    (2, 2, 3, 1, 0, 5, 12),
+    (3, 2, 1, 1, 0, 4, 6),
+])
+def test_conv_matches_einsum_reference_non_square(ci, co, k, st, p, h, w):
+    _check_conv_against_reference(ci, co, k, st, p, h, w)
+
+
+def _check_conv_against_reference(ci, co, k, st, p, h, w):
     spec = nn.Conv2dSpec(ci, co, k, st, p)
     conv = nn.Conv2d(spec, substream(1, "conv"), np.float64)
     conv.b[...] = substream(2, "bias").standard_normal(co)
     rng = substream(3, "x")
-    x = rng.standard_normal((3, ci, hw, hw))
+    x = rng.standard_normal((3, ci, h, w))
     out = conv.forward(x)
     gy = rng.standard_normal(out.shape)
     gx = conv.backward(gy)
@@ -134,6 +160,7 @@ def test_conv_matches_einsum_reference(ci, co, k, st, p, hw):
     np.testing.assert_allclose(conv.grads[0], ref_gw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(conv.grads[1], ref_gb, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12)
+    assert out.shape == ref_out.shape and gx.shape == x.shape
 
 
 @pytest.mark.parametrize("k,hw", [(2, 8), (2, 9), (3, 8), (4, 10)])
@@ -212,6 +239,19 @@ def test_eval_forward_between_forward_and_backward_keeps_grads(layers):
         return [a.tobytes() for a in m.gradients() + [gx]]
 
     assert grads(False) == grads(True)
+
+
+@pytest.mark.parametrize("layers", BENCH_STACKS)
+def test_backward_without_input_grad_keeps_param_grads(layers):
+    m = _bench_model(layers, seed=5)
+    x = _tied_inputs(4, 6)
+    _, g = nn.softmax_cross_entropy(m.forward(x), np.array([0, 1, 2, 0, 1, 2]) % m.num_classes)
+    assert m.backward(g).shape == x.shape
+    full = [a.tobytes() for a in m.gradients()]
+    for layer in m.layers:
+        layer.grads = [None] * len(layer.grads)
+    assert m.backward(g, input_grad=False) is None
+    assert [a.tobytes() for a in m.gradients()] == full
 
 
 GRAD_CHECK_CASES = {

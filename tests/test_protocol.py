@@ -14,7 +14,6 @@ from daylearn.protocol import (
     ExperimentConfig,
     build_model,
     evaluate,
-    make_optimizer,
     run_experiment,
 )
 
