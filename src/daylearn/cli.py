@@ -138,13 +138,8 @@ def _cmd_run(args, overrides):
         raise ConfigError("config key 'data.root' is required for run")
     config = to_experiment_config(effective)
     os.makedirs(args.out, exist_ok=True)
-    lock_path = os.path.join(args.out, _LOCK_NAME)
+    lock_path = _acquire_lock(args.out)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise UsageError(f"run directory {args.out} is locked by another invocation")
-    try:
-        os.close(fd)
         write_effective_config(effective, os.path.join(args.out, "effective_config.cfg"))
         log = run_experiment(
             config, args.out, resume=args.resume, stop_after_day=args.stop_after_day
@@ -153,6 +148,43 @@ def _cmd_run(args, overrides):
         os.remove(lock_path)
     print(f"run {log.run_id}: {len(log.records)} metric records in {args.out}")
     return 0
+
+
+def _lock_owner_alive(path):
+    """False only when the lock names a pid that no longer exists."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            pid = int(f.read())
+    except (OSError, ValueError):
+        return True  # a lock without a readable pid may be a run starting up
+    if pid < 1:  # 0 and negative pids would address process groups
+        return True
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
+
+
+def _acquire_lock(out):
+    """Create `out`/lock holding this process's pid and return its path.
+
+    A lock left by a run that was killed (its pid is gone) is taken over;
+    a lock whose owner is alive, or that holds no pid, refuses the run.
+    """
+    path = os.path.join(out, _LOCK_NAME)
+    try:
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        if _lock_owner_alive(path):
+            raise UsageError(f"run directory {out} is locked by another invocation") from None
+        os.remove(path)
+        return _acquire_lock(out)
+    with os.fdopen(fd, "w", encoding="utf-8") as f:
+        f.write(f"{os.getpid()}\n")
+    return path
 
 
 def _cmd_evaluate(args):

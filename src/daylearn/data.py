@@ -7,6 +7,7 @@ class labels; paths are relative to the manifest's directory.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -42,6 +43,18 @@ class Image:
 
     def __eq__(self, other):
         return isinstance(other, Image) and np.array_equal(self.pixels, other.pixels)
+
+
+@contextlib.contextmanager
+def replacing_open(path, mode="w"):
+    """Open a temp file beside `path` for writing; when the block ends
+    without an error it replaces `path`. A crash mid-write leaves the
+    previous `path` whole. Text mode writes UTF-8 with LF newlines."""
+    tmp = f"{path}.tmp"
+    text_args = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    with open(tmp, mode, **text_args) as f:
+        yield f
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,24 @@ Runs use float32; the gradient checker exercises the same code paths
 in float64.
 
 Every forward takes a `train` flag. Training mode (the default) keeps
-what backward needs: the padded conv input, the ReLU mask, the pool
-input and output, the dense input, the flatten shape. Eval mode
-(`train=False`, used by `predict_batch` and so by all evaluation)
-computes the same logits with the same operations but writes no layer
-state, so an evaluation may run between a training forward and its
-backward.
+what backward needs: the padded conv input, the ReLU mask, the pool's
+winning offsets and input shape, the dense input, the flatten shape.
+Eval mode (`train=False`, used by `predict_batch` and so by all
+evaluation) computes the same logits with the same operations but
+writes no layer state, so an evaluation may run between a training
+forward and its backward.
+
+`Model` runs its layers in one execution order, fixed at build time:
+the declared order, except that a ReLU directly followed by a MaxPool2d
+runs after it. Max and ReLU commute, so ReLU then works on a k*k
+smaller tensor and the pool no longer needs ReLU's output. Where a
+window's maximum is <= 0 both orders give it zero gradient; otherwise
+both route it to the window's first maximum. The logits and every
+gradient are byte-equal to the declared order unless the pool input
+holds -0.0, where the sign of a zero maximum may differ; a conv output
+is never -0.0, since its bias starts at +0.0 and no SGD or Adam step
+turns +0.0 into -0.0. `backward` walks the same order reversed;
+`specs`, `layers` and checkpoints keep the declared order.
 
 Conv2d is im2col plus one GEMM (Chellapilla et al. 2006) over flat
 rows. The input is padded into a zero buffer of Wp = W + 2p columns,
@@ -28,11 +40,16 @@ the GEMM columns are such waste; no model here uses stride > 1, so one
 kernel serves every stride. Backward rebuilds columns from the cached
 flat buffer instead of caching them. The weight gradient takes only the
 Ho*Wo real positions, one (Ho, Wo) window per offset, so its GEMM has no
-wrap columns to skip. The input gradient zero-extends the output
-gradient to Wp columns and scatter-adds w[:, :, ki, kj].T @ g along the
-forward's 1-D slices, one offset at a time. MaxPool2d takes the running
-maximum over the k*k strided slices; its backward sends each window's
-gradient to the first maximum in row-major order.
+wrap columns to skip; it is computed as cols @ g.T, summed over the
+batch and transposed, which is faster than g @ cols.T for these shapes.
+The input gradient zero-extends the output gradient to Wp columns and
+scatter-adds w[:, :, ki, kj].T @ g along the forward's 1-D slices, one
+offset at a time. MaxPool2d takes the running maximum over the k*k
+strided slices. In training it also records, per window, the offset of
+the first maximum in row-major order in an unsigned array of the pooled
+shape (uint8 for k <= 16): a later offset replaces it only with a
+strictly larger value. Its backward scatters the gradient to that
+offset.
 
 `Model.backward(g, input_grad=False)` stops at the first layer with
 parameters: that layer fills its grads but skips its input gradient,
@@ -46,6 +63,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import replacing_open
 from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
 from .rng import substream
 
@@ -207,8 +225,8 @@ class Conv2d(_Layer):
         p = s.padding
         ho, wo, wp, rows = self._geometry(h, w)
         g = gy.reshape(n, s.out_channels, ho * wo)
-        gw = np.matmul(g, self._window_cols(flat, ho, wo, wp).transpose(0, 2, 1)).sum(axis=0)
-        self.grads = [gw.reshape(self.w.shape), gy.sum(axis=(0, 2, 3))]
+        gw = np.matmul(self._window_cols(flat, ho, wo, wp), g.transpose(0, 2, 1)).sum(axis=0)
+        self.grads = [gw.T.reshape(self.w.shape), gy.sum(axis=(0, 2, 3))]
         if not input_grad:
             return None
         g = np.zeros((n, s.out_channels, ho, wp), dtype=gy.dtype)
@@ -278,26 +296,33 @@ class MaxPool2d(_Layer):
         if ho < 1 or wo < 1:
             raise ConfigError(f"pool output would be empty for input {x.shape}")
         out = x[_window(0, 0, ho, wo, k)].copy()
-        for ki, kj in _offsets(k)[1:]:
-            np.maximum(out, x[_window(ki, kj, ho, wo, k)], out=out)
         if train:
-            self._cache = (x, out)
+            # offset of each window's first maximum: a later offset replaces it
+            # only with a strictly larger value, and offsets rise, so max() keeps it
+            idx = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+            buf, gt = np.empty_like(out), np.empty(out.shape, dtype=bool)
+        for o, (ki, kj) in enumerate(_offsets(k)[1:], 1):
+            xw = x[_window(ki, kj, ho, wo, k)]
+            if train:
+                # one strided read, then the compare and both maxima run on
+                # contiguous operands: faster than reading the view twice
+                buf[...] = xw
+                xw = buf
+                np.greater(xw, out, out=gt)
+                np.maximum(idx, gt * idx.dtype.type(o), out=idx)
+            np.maximum(out, xw, out=out)
+        if train:
+            self._cache = (idx, x.shape)
         return out
 
     def backward(self, gy):
         # the first maximum of each window in row-major order takes the gradient
         k = self.spec.kernel
-        x, out = self._cache
-        ho, wo = out.shape[2:]
-        gx = np.zeros(x.shape, dtype=gy.dtype)
-        pending = np.ones(out.shape, dtype=bool)
-        hit = np.empty(out.shape, dtype=bool)
-        for ki, kj in _offsets(k):
-            win = _window(ki, kj, ho, wo, k)
-            np.equal(x[win], out, out=hit)
-            hit &= pending
-            pending ^= hit
-            np.multiply(gy, hit, out=gx[win])
+        idx, shape = self._cache
+        ho, wo = idx.shape[2:]
+        gx = np.zeros(shape, dtype=gy.dtype)
+        for o, (ki, kj) in enumerate(_offsets(k)):
+            np.multiply(gy, idx == o, out=gx[_window(ki, kj, ho, wo, k)])
         gx += 0.0  # a negative gradient times False is -0.0; store +0.0
         return gx
 
@@ -360,6 +385,21 @@ def _propagate_shape(i, spec, shape):
     return shape  # ReLU
 
 
+def _execution_order(specs):
+    """Layer indices in the order forward runs them: a ReLU directly
+    followed by a MaxPool2d runs after it, on the k*k smaller tensor."""
+    order, i = [], 0
+    while i < len(specs):
+        if (isinstance(specs[i], ReLUSpec) and i + 1 < len(specs)
+                and isinstance(specs[i + 1], MaxPool2dSpec)):
+            order += [i + 1, i]
+            i += 2
+        else:
+            order.append(i)
+            i += 1
+    return order
+
+
 class Model:
     """Ordered layer stack; shape-checked at build time.
 
@@ -385,6 +425,7 @@ class Model:
             raise ConfigError(f"model must end with a flat logit vector, got shape {shape}")
         self.output_shape = shape
         self._first_trained = next((i for i, l in enumerate(self.layers) if l.params), -1)
+        self._order = _execution_order(self.specs)
 
     @property
     def num_classes(self):
@@ -426,8 +467,8 @@ class Model:
             raise ConfigError(
                 f"input shape {x.shape} does not match model input [batch, {self.input_shape}]"
             )
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
+        for i in self._order:
+            x = self.layers[i].forward(x, train=train)
         return x
 
     def backward(self, glogits, input_grad=True):
@@ -438,7 +479,7 @@ class Model:
         gradient, and backward returns None.
         """
         g = np.asarray(glogits, dtype=self.dtype)
-        for i in range(len(self.layers) - 1, -1, -1):
+        for i in reversed(self._order):
             layer = self.layers[i]
             if not input_grad and i == self._first_trained:
                 layer.backward(g, input_grad=False)
@@ -734,8 +775,9 @@ def _read_tensor(r, what):
 
 
 def checkpoint_save(model, optimizer, path):
-    """Write model + optimizer state to `path` in the SQLN format."""
-    with open(path, "wb") as f:
+    """Write model + optimizer state to `path` in the SQLN format, through
+    a temp file that replaces `path` only once it is complete."""
+    with replacing_open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
         f.write(struct.pack("<3I", *model.input_shape))
@@ -832,4 +874,8 @@ def checkpoint_load(path, dtype=np.float32):
                 )
     else:
         _ = r.u64("step counter")
+    if r.off != len(data):
+        raise CheckpointError(
+            f"{len(data) - r.off} trailing bytes after the step counter at offset {r.off}"
+        )
     return model, optimizer

@@ -23,6 +23,7 @@ from .data import (
     ingest_directory,
     normalize,
     pgm_read,
+    replacing_open,
     split_manifest,
 )
 from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
@@ -230,7 +231,7 @@ _FINAL_CKPT = "ckpt_final.bin"
 
 
 def _write_state(out_dir, config_hash, last_day, ckpt_name):
-    with open(os.path.join(out_dir, _STATE_FILE), "w", encoding="utf-8", newline="\n") as f:
+    with replacing_open(os.path.join(out_dir, _STATE_FILE)) as f:
         f.write(f"config_hash={config_hash}\n")
         f.write(f"last_day={last_day}\n")
         f.write(f"checkpoint={ckpt_name}\n")
@@ -256,7 +257,7 @@ class _CsvWriter:
         self.run_id = run_id
 
     def start(self, kept_rows):
-        with open(self.path, "w", encoding="utf-8", newline="\n") as f:
+        with replacing_open(self.path) as f:
             f.write(",".join(CSV_COLUMNS) + "\n")
             for row in kept_rows:
                 f.write(row + "\n")

@@ -108,3 +108,37 @@ def test_layer_int_count_mismatch_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="Conv2dSpec takes 5 ints, got 4"):
         nn.checkpoint_load(path)
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
+def test_trailing_bytes_rejected(tmp_path, with_optimizer):
+    m = nn.Model(make_specs(), (1, 8, 8), seed=7)
+    opt = nn.Adam(1e-3) if with_optimizer else None
+    if opt is not None:
+        train_steps(m, opt, 2)
+    path = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(m, opt, path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\x01" * 26)
+    with pytest.raises(CheckpointError, match=f"26 trailing bytes after the step counter at offset {size}"):
+        nn.checkpoint_load(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    m = nn.Model(make_specs(), (1, 8, 8), seed=8)
+    opt = nn.Adam(1e-3)
+    path = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(m, opt, path)
+    before = path.read_bytes()
+    train_steps(m, opt, 1)
+    real_write = nn._write_tensor
+
+    def write_then_die(f, arr):  # dies after the first tensor, as a kill would
+        real_write(f, arr)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(nn, "_write_tensor", write_then_die)
+    with pytest.raises(KeyboardInterrupt):
+        nn.checkpoint_save(m, opt, path)
+    assert path.read_bytes() == before
+    assert nn.checkpoint_load(path)[1].t == 0

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +191,108 @@ def test_run_lock_file_blocks_concurrent_out(tmp_path, capsys):
     assert "locked" in capsys.readouterr().err
 
 
+def _small_run_argv(tmp_path, out, days=2):
+    dd = tmp_path / "data"
+    if not dd.exists():
+        dispatch(["gen-synth", "--out", str(dd), "--classes", "2", "--per-class", "20",
+                  "--size", "8", "--seed", "1"])
+    return ["run", "--out", str(out), f"--data.root={dd}", "--data.image_size=8",
+            "--model.layers=conv:2:3:1:1,relu,pool:2,flatten,dense:2",
+            f"--schedule.days={days}", "--schedule.n_per_day=4", "--protocol.batch_size=4",
+            "--protocol.checkpoint_every=1"]
+
+
+def test_run_takes_over_lock_of_dead_process(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its pid names no live process
+    out = tmp_path / "r"
+    out.mkdir()
+    (out / "lock").write_text(f"{child.pid}\n")
+    assert dispatch(_small_run_argv(tmp_path, out)) == 0
+    assert (out / "ckpt_final.bin").exists() and not (out / "lock").exists()
+
+
+def test_run_refuses_lock_of_live_process(tmp_path, capsys):
+    out = tmp_path / "r"
+    out.mkdir()
+    (out / "lock").write_text(f"{os.getpid()}\n")
+    assert dispatch(_small_run_argv(tmp_path, out)) == 2
+    assert "locked" in capsys.readouterr().err
+    assert (out / "lock").read_text() == f"{os.getpid()}\n"
+    assert not (out / "metrics.csv").exists()
+
+
+class _Crash(Exception):
+    pass
+
+
+class _HalfWriter:
+    """A file whose first write stores half its data and then raises, as a
+    kill in the middle of the write would leave it."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.close()
+        raise _Crash("killed mid-write")
+
+
+def _crash_nth_write(monkeypatch, name, nth):
+    """Make the nth opening for writing of a file named `name`* (temp files
+    included) through daylearn.data, where run files are written, a _HalfWriter."""
+    seen = []
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(str(path)).startswith(name):
+            seen.append(path)
+            if len(seen) == nth:
+                return _HalfWriter(f)
+        return f
+
+    monkeypatch.setattr(data, "open", fake_open, raising=False)
+
+
+def _assert_same_run(a, b):
+    for name in ("metrics.csv", "ckpt_final.bin", "state.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_kill_while_writing_state_resumes_byte_identical(tmp_path, monkeypatch):
+    full, crashed = tmp_path / "full", tmp_path / "crashed"
+    assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
+    _crash_nth_write(monkeypatch, "state.txt", 3)  # while saving day 3
+    with pytest.raises(_Crash):
+        dispatch(_small_run_argv(tmp_path, crashed, days=4))
+    monkeypatch.undo()
+    assert "last_day=2" in (crashed / "state.txt").read_text()
+    assert dispatch(_small_run_argv(tmp_path, crashed, days=4) + ["--resume"]) == 0
+    _assert_same_run(full, crashed)
+
+
+def test_kill_while_rewriting_metrics_resumes_byte_identical(tmp_path, monkeypatch):
+    full, crashed = tmp_path / "full", tmp_path / "crashed"
+    assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
+    argv = _small_run_argv(tmp_path, crashed, days=4)
+    assert dispatch(argv + ["--stop-after-day", "2"]) == 0
+    kept = (crashed / "metrics.csv").read_bytes()
+    _crash_nth_write(monkeypatch, "metrics.csv", 1)  # the resume's rewrite
+    with pytest.raises(_Crash):
+        dispatch(argv + ["--resume"])
+    monkeypatch.undo()
+    assert (crashed / "metrics.csv").read_bytes() == kept
+    assert dispatch(argv + ["--resume"]) == 0
+    _assert_same_run(full, crashed)
+
+
 def test_exit_code_data_error(tmp_path, capsys):
     root = tmp_path / "ds"
     (root / "emptyclass").mkdir(parents=True)
@@ -222,6 +326,19 @@ def test_exit_code_corrupt_layer_table(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("CHECKPOINT_ERROR: layer kind Conv2dSpec takes 5 ints")
+    assert "Traceback" not in err
+
+
+def test_exit_code_checkpoint_trailing_bytes(tmp_path, capsys):
+    model = nn.Model([nn.Conv2dSpec(1, 2, 3, 1, 1), nn.FlattenSpec(), nn.DenseSpec(2 * 8 * 8, 2)],
+                     (1, 8, 8))
+    ckpt = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(model, None, ckpt)
+    ckpt.write_bytes(ckpt.read_bytes() + b"\x00" * 26)
+    rc = dispatch(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(tmp_path / "m.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CHECKPOINT_ERROR: 26 trailing bytes after the step counter")
     assert "Traceback" not in err
 
 

@@ -185,8 +185,46 @@ def test_maxpool_matches_argmax_reference(k, hw):
     assert gx.tobytes() == ref.tobytes()
 
 
+def _first_max_pool(x, k, gy):
+    """Loop reference: (out, gx) with each window's gradient on its first
+    row-major maximum; every other input entry, ragged edges included, +0.0."""
+    n, c, ho, wo = gy.shape
+    out = np.empty(gy.shape, dtype=x.dtype)
+    gx = np.zeros(x.shape, dtype=gy.dtype)
+    for b, ch, i, j in np.ndindex(n, c, ho, wo):
+        best = (i * k, j * k)
+        for di, dj in np.ndindex(k, k):
+            if x[b, ch, i * k + di, j * k + dj] > x[(b, ch) + best]:
+                best = (i * k + di, j * k + dj)
+        out[b, ch, i, j] = x[(b, ch) + best]
+        gx[(b, ch) + best] = gy[b, ch, i, j] + 0.0
+    return out, gx
+
+
+@pytest.mark.parametrize("k,h,w", [(1, 3, 4), (2, 8, 9), (2, 9, 9), (3, 8, 7), (3, 10, 11),
+                                   (4, 10, 9), (17, 35, 36)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_first_max_reference(k, h, w, dtype):
+    # few distinct values: ties, +0.0 next to -0.0, all-negative windows;
+    # k = 17 has 289 offsets, more than an 8-bit winner index holds
+    rng = substream(k, "pool-ref", h, w)
+    x = rng.choice(np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0], dtype=dtype), size=(2, 3, h, w))
+    x[0, 0] = -1.0  # windows whose maximum is reached everywhere
+    x[1, 2, -1, -1] = 9.0  # a maximum in the cropped edge is never a winner
+    layer = nn.MaxPool2d(nn.MaxPool2dSpec(k), None, dtype)
+    out = layer.forward(x)
+    gy = rng.standard_normal(out.shape).astype(dtype)
+    gy[0, 1] = -0.0
+    ref_out, ref_gx = _first_max_pool(x, k, gy)
+    # np.maximum may return either zero of a +0.0/-0.0 tie, so compare values
+    assert np.array_equal(out, ref_out)
+    gx = layer.backward(gy)
+    assert gx.dtype == gy.dtype and gx.tobytes() == ref_gx.tobytes()
+    assert layer.backward(gy).tobytes() == gx.tobytes()  # backward leaves its cache
+
+
 # ---------------------------------------------------------------------------
-# eval mode
+# eval mode and execution order
 # ---------------------------------------------------------------------------
 
 BENCH_STACKS = [
@@ -210,6 +248,75 @@ def _tied_inputs(seed, n):
 def _layer_state(model):
     names = ("_cache", "_mask", "_x", "_shape")
     return [getattr(layer, a, None) for layer in model.layers for a in names]
+
+
+# (layers, image size): a ragged pool:3 and a ReLU with no pool after it
+ORDER_STACKS = [(layers, 32) for layers in BENCH_STACKS] + [
+    ("conv:3:3:1:0,relu,pool:3,flatten,dense:3", 12),
+    ("conv:3:3:1:1,relu,conv:4:3:1:1,pool:2,relu,flatten,dense:3", 8),
+]
+
+
+def _declared_order_step(model, x, glogits, input_grad):
+    """Forward and backward through model.layers by hand, in declared order."""
+    for layer in model.layers:
+        x = layer.forward(x)
+    logits, g = x, glogits
+    for i in range(len(model.layers) - 1, -1, -1):
+        if not input_grad and i == model._first_trained:
+            model.layers[i].backward(g, input_grad=False)
+            return logits, None
+        g = model.layers[i].backward(g)
+    return logits, g
+
+
+@pytest.mark.parametrize("layers,size", ORDER_STACKS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_model_step_byte_equal_declared_order(layers, size, dtype, input_grad):
+    def model():
+        return nn.Model(parse_layers(layers, size), (1, size, size), seed=6, dtype=dtype)
+
+    rng = substream(6, "order", size)
+    x = rng.integers(-1, 2, size=(5, 1, size, size)).astype(dtype)  # ties and zeros
+    x[1:3] = rng.standard_normal((2, 1, size, size))
+    glogits = rng.standard_normal((5, model().num_classes)).astype(dtype)
+    m, ref = model(), model()
+    logits = m.forward(x)
+    gx = m.backward(glogits, input_grad=input_grad)
+    ref_logits, ref_gx = _declared_order_step(ref, x, glogits, input_grad)
+    assert logits.tobytes() == ref_logits.tobytes()
+    if input_grad:
+        assert gx.tobytes() == ref_gx.tobytes()
+    else:
+        assert gx is None
+    assert [g.tobytes() for g in m.gradients()] == [g.tobytes() for g in ref.gradients()]
+
+
+@pytest.mark.parametrize("layers,size", ORDER_STACKS)
+def test_relu_before_pool_runs_on_pooled_tensor(layers, size):
+    m = nn.Model(parse_layers(layers, size), (1, size, size), seed=0)
+    x = substream(0, "mask").standard_normal((2, 1, size, size)).astype(np.float32)
+    shapes, y = [], x
+    for layer in m.layers:  # each layer's output shape in declared order
+        y = layer.forward(y, train=False)
+        shapes.append(y.shape)
+    m.forward(x)
+    for i, layer in enumerate(m.layers):
+        if isinstance(layer, nn.ReLU):
+            pooled = i + 1 < len(m.layers) and isinstance(m.layers[i + 1], nn.MaxPool2d)
+            assert layer._mask.shape == shapes[i + 1 if pooled else i]
+
+
+@pytest.mark.parametrize("layers,size", ORDER_STACKS)
+def test_eval_writes_no_state_and_backward_is_repeatable(layers, size):
+    m = nn.Model(parse_layers(layers, size), (1, size, size), seed=2)
+    x = substream(2, "repeat").integers(-1, 2, size=(4, 1, size, size)).astype(np.float32)
+    m.forward(x, train=False)
+    assert all(state is None for state in _layer_state(m))
+    _, g = nn.softmax_cross_entropy(m.forward(x), np.arange(4) % m.num_classes)
+    first = [a.tobytes() for a in [m.backward(g)] + m.gradients()]
+    assert [a.tobytes() for a in [m.backward(g)] + m.gradients()] == first
 
 
 @pytest.mark.parametrize("layers", BENCH_STACKS)
