@@ -294,21 +294,7 @@ class AugmentConfig:
 AUGMENT_OFF = AugmentConfig(0.0, 0.0, 0.0, 0.0)
 
 
-def _draw(config: AugmentConfig, rng, h, w):
-    """One image's (flip, cos, sin, dy, dx, brightness factor)."""
-    flip = config.hflip_probability > 0 and rng.random() < config.hflip_probability
-    theta = 0.0
-    if config.rotation_degrees > 0:
-        theta = math.radians(rng.uniform(-config.rotation_degrees, config.rotation_degrees))
-    dy = dx = 0
-    t = config.translate_fraction
-    if t > 0:
-        dy = int(round(rng.uniform(-t, t) * h))
-        dx = int(round(rng.uniform(-t, t) * w))
-    factor = 1.0
-    if config.jitter_fraction > 0:
-        factor = rng.uniform(1.0 - config.jitter_fraction, 1.0 + config.jitter_fraction)
-    return flip, math.cos(theta), math.sin(theta), dy, dx, factor
+AUG_DRAWS = 5  # one draw-table column each: flip, angle, dy, dx, jitter
 
 
 def _rint_index(a, b, itype):
@@ -316,6 +302,11 @@ def _rint_index(a, b, itype):
     t = a + b
     np.rint(t, out=t)
     return t.astype(itype)
+
+
+def _inside(idx, size):
+    """0 <= idx < size as one compare: viewed unsigned, negatives are huge."""
+    return idx.view(f"u{idx.itemsize}") < size
 
 
 def _warp(px, flip, cos_t, sin_t, dy, dx, rotate):
@@ -328,46 +319,53 @@ def _warp(px, flip, cos_t, sin_t, dy, dx, rotate):
     itype = np.int32 if px.size < 2**31 else np.int64
     ys = np.arange(h, dtype=itype)[None, :, None] - dy.astype(itype)
     xs = np.arange(w, dtype=itype)[None, None, :] - dx.astype(itype)
-    valid = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    valid = _inside(ys, h) & _inside(xs, w)
     if rotate:
         cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
         ry, rx = ys - cy, xs - cx
         ys = _rint_index(cy + cos_t * ry, sin_t * rx, itype)
         xs = _rint_index(cx - sin_t * ry, cos_t * rx, itype)
-        valid &= (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+        valid &= _inside(ys, h)
+        valid &= _inside(xs, w)
     np.subtract(w - 1, xs, out=xs, where=flip)
     src = ys * w + xs
     src += (np.arange(n, dtype=itype) * (h * w))[:, None, None]
     src *= valid
-    out = px.reshape(-1)[src]
+    out = np.take(px.reshape(-1), src)
     out *= valid
     return out
 
 
-def augment_batch(pixels, config: AugmentConfig, rngs):
-    """Augment an (n, h, w) uint8 stack; image i draws from rngs[i].
+def augment_batch(pixels, config: AugmentConfig, draws):
+    """Augment an (n, h, w) uint8 stack; image i uses row i of the
+    (n, AUG_DRAWS) table of uniform [0, 1) draws.
 
-    Each image draws, in this order: hflip, rotation angle, translation
-    (dy, dx), brightness factor, each only when its magnitude is > 0.
-    Rotation is inverse-map nearest neighbour about the image centre and
-    translation an integer shift, both filling 0; together with the flip
-    they make one gather index per image. The jitter multiplies by a
-    per-image factor, rounds and clips to [0, 255]. The result is
-    byte-equal to calling `augment` on each image with its own rng.
+    Each augmentation owns one column, so one set to 0 leaves the others'
+    draws where they were: hflip when u0 < p, angle -r + 2r·u1 degrees,
+    shift rint((-t + 2t·u) · size) for dy (u2) and dx (u3), rounding half
+    to even, and brightness factor 1 - j + 2j·u4. Rotation is inverse-map
+    nearest neighbour about the image centre and translation an integer
+    shift, both filling 0; together with the flip they make one gather
+    index per image. The jitter multiplies by the factor, rounds and
+    clips to [0, 255].
     """
     px = np.asarray(pixels, dtype=np.uint8)
     n, h, w = px.shape
-    draws = zip(*(_draw(config, rng, h, w) for rng in rngs))
-    flip, cos_t, sin_t, dy, dx, factor = (np.array(d)[:, None, None] for d in draws)
+    u = np.asarray(draws, dtype=np.float64).reshape(n, AUG_DRAWS)[:, :, None, None]
+    r, t, j = config.rotation_degrees, config.translate_fraction, config.jitter_fraction
+    flip = u[:, 0] < config.hflip_probability
+    dy = np.rint((-t + 2 * t * u[:, 2]) * h)
+    dx = np.rint((-t + 2 * t * u[:, 3]) * w)
     out = px
-    if flip.any() or config.rotation_degrees > 0 or dy.any() or dx.any():
-        out = _warp(px, flip, cos_t, sin_t, dy, dx, config.rotation_degrees > 0)
-    if config.jitter_fraction > 0:
-        t = out.astype(np.float64)
-        t *= factor
-        np.rint(t, out=t)
-        np.clip(t, 0, 255, out=t)
-        out = t.astype(np.uint8)
+    if flip.any() or r > 0 or dy.any() or dx.any():
+        theta = np.radians(-r + 2 * r * u[:, 1])
+        out = _warp(px, flip, np.cos(theta), np.sin(theta), dy, dx, r > 0)
+    if j > 0:
+        out = out.astype(np.float64)
+        out *= 1.0 - j + 2 * j * u[:, 4]
+        np.rint(out, out=out)
+        np.clip(out, 0, 255, out=out)
+        out = out.astype(np.uint8)
     return np.ascontiguousarray(out)
 
 
@@ -375,11 +373,10 @@ def augment(image: Image, config: AugmentConfig, rng) -> Image:
     """Random hflip, small rotation, integer translation, brightness jitter.
 
     Shape-preserving; output stays in [0,255]; the all-off config is the
-    identity. Draw order is fixed so substreams replay exactly. This is
-    `augment_batch` on a stack of one image, so the bytes are the same
-    either way.
+    identity. This is `augment_batch` on one image and one draw row
+    `rng.random((1, AUG_DRAWS))`.
     """
-    return Image(augment_batch(image.pixels[None], config, [rng])[0])
+    return Image(augment_batch(image.pixels[None], config, rng.random((1, AUG_DRAWS)))[0])
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,14 @@ def write_metrics(log: RunLog, path):
             f.write(format_record(log.run_id, rec) + "\n")
 
 
-def read_metrics(path) -> RunLog:
+def read_metrics(path, drop_unterminated=False) -> RunLog:
+    """Parse metrics.csv. drop_unterminated skips a last line with no
+    newline, which a kill during an append leaves behind."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+        text = f.read()
+    lines = text.splitlines()
+    if drop_unterminated and not text.endswith("\n"):
+        lines = lines[:-1]
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise DataError(f"{path}:1: bad or missing CSV header")
     run_id = None

@@ -58,6 +58,7 @@ which training never uses.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -375,7 +376,7 @@ def _propagate_shape(i, spec, shape):
             raise ConfigError(f"layer {i} (MaxPool2d): empty output from input shape {shape}")
         return (c, ho, wo)
     if isinstance(spec, FlattenSpec):
-        return (int(np.prod(shape)),)
+        return (math.prod(shape),)
     if isinstance(spec, DenseSpec):
         if len(shape) != 1 or shape[0] != spec.in_features:
             raise ConfigError(
@@ -383,6 +384,29 @@ def _propagate_shape(i, spec, shape):
             )
         return (spec.out_features,)
     return shape  # ReLU
+
+
+def _output_shape(specs, input_shape):
+    """Validate a layer stack and return its output shape, building
+    nothing; raises ConfigError on the first bad or inconsistent layer."""
+    if not specs:
+        raise ConfigError("model needs at least one layer")
+    shape = input_shape
+    for i, spec in enumerate(specs):
+        _validate_spec(i, spec)
+        shape = _propagate_shape(i, spec, shape)
+    if len(shape) != 1:
+        raise ConfigError(f"model must end with a flat logit vector, got shape {shape}")
+    return shape
+
+
+def _param_count(spec):
+    """Parameter values one layer holds: weights plus bias."""
+    if isinstance(spec, Conv2dSpec):
+        return spec.out_channels * (spec.in_channels * spec.kernel**2 + 1)
+    if isinstance(spec, DenseSpec):
+        return spec.out_features * (spec.in_features + 1)
+    return 0
 
 
 def _execution_order(specs):
@@ -408,22 +432,15 @@ class Model:
     """
 
     def __init__(self, specs, input_shape, seed=0, dtype=np.float32):
-        if not specs:
-            raise ConfigError("model needs at least one layer")
         self.specs = list(specs)
         self.input_shape = tuple(int(d) for d in input_shape)
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
-        shape = self.input_shape
-        self.layers = []
-        for i, spec in enumerate(self.specs):
-            _validate_spec(i, spec)
-            shape = _propagate_shape(i, spec, shape)
-            cls = _LAYER_CLASSES[type(spec)]
-            self.layers.append(cls(spec, substream(self.seed, "init", i), self.dtype))
-        if len(shape) != 1:
-            raise ConfigError(f"model must end with a flat logit vector, got shape {shape}")
-        self.output_shape = shape
+        self.output_shape = _output_shape(self.specs, self.input_shape)
+        self.layers = [
+            _LAYER_CLASSES[type(spec)](spec, substream(self.seed, "init", i), self.dtype)
+            for i, spec in enumerate(self.specs)
+        ]
         self._first_trained = next((i for i, l in enumerate(self.layers) if l.params), -1)
         self._order = _execution_order(self.specs)
 
@@ -769,7 +786,7 @@ def _read_tensor(r, what):
     if code not in _DTYPE_CODES:
         raise CheckpointError(f"bad dtype code {code} at offset {r.off - 1}")
     dt = _DTYPE_CODES[code]
-    count = int(np.prod(shape)) if ndim else 1
+    count = math.prod(shape)
     raw = r.take(count * dt.itemsize, f"{what} payload")
     return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
 
@@ -835,6 +852,17 @@ def checkpoint_load(path, dtype=np.float32):
         n_ints = r.u8("layer param count")
         vals = struct.unpack(f"<{n_ints}i", r.take(4 * n_ints, "layer params"))
         specs.append(_spec_from_ints(kind_id, list(vals)))
+    try:
+        _output_shape(specs, input_shape)
+    except ConfigError as e:
+        raise CheckpointError(f"bad layer table: {e}") from None
+    # each stored value takes at least 4 bytes; check before allocating
+    values = sum(_param_count(spec) for spec in specs)
+    if 4 * values > len(data) - r.off:
+        raise CheckpointError(
+            f"layer table implies {values} parameter values, more than the "
+            f"{len(data) - r.off} bytes after offset {r.off} can hold"
+        )
     model = Model(specs, input_shape, seed=0, dtype=dtype)
     n_params = r.u32("parameter count")
     expected = len(model.parameters())

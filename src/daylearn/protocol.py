@@ -2,21 +2,25 @@
 global-test evaluation, checkpoint cadence, and resume.
 
 All randomness is drawn from substreams keyed by (seed, purpose, day,
-epoch, entry index), so an interrupted run resumed from a checkpoint
+epoch). Each training epoch draws one shuffle and one augmentation table
+whose row i belongs to the i-th image of the day's training list, which
+the day plan fixes; so an interrupted run resumed from a checkpoint
 reproduces the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import nn
 from .data import (
+    AUG_DRAWS,
     AugmentConfig,
     NormalizationSpec,
     augment_batch as augment_image,  # the name the benchmark tracer wraps
@@ -78,10 +82,41 @@ class ExperimentConfig:
             raise ConfigError(f"loss kind must be one of {nn.LOSS_KINDS}")
 
     def config_hash(self):
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()
+        """sha256 of the config as sorted, compact JSON: nested dataclasses
+        flattened to dotted keys, numbers compared by value (1 and 1.0
+        agree), and `data_root` left out so a moved dataset still resumes."""
+        flat = {}
+        _flatten(self, "", flat)
+        del flat["data_root"]
+        text = json.dumps(flat, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def run_id(self):
         return self.config_hash()[:8]
+
+
+def _flatten(value, key, out):
+    """Flatten `value` into `out` as dotted key -> plain JSON value. Items
+    of a list of dataclasses (the layer specs) also record their type."""
+    if is_dataclass(value):
+        for f in fields(value):
+            _flatten(getattr(value, f.name), f"{key}.{f.name}" if key else f.name, out)
+    elif isinstance(value, (list, tuple)) and any(is_dataclass(v) for v in value):
+        for i, item in enumerate(value):
+            out[f"{key}.{i}"] = type(item).__name__
+            _flatten(item, f"{key}.{i}", out)
+    else:
+        out[key] = _plain(value)
+
+
+def _plain(value):
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def build_model(config: ExperimentConfig, dtype=np.float32):
@@ -132,18 +167,18 @@ def evaluate(model, items, loss_kind, batch_size):
     return total_loss / len(items), correct / len(items)
 
 
-def _train_epoch(model, optimizer, config, cache, entries, labels, day, epoch):
-    """One seeded pass over a day's training entries; returns (loss, acc, steps)."""
-    order = substream(config.seed, "shuffle", day, epoch).permutation(len(entries))
-    labels = np.asarray(labels, dtype=np.int64)
+def _train_epoch(model, optimizer, config, cache, items, day, epoch):
+    """One seeded pass over (rel_path, label) items; returns (loss, acc, steps)."""
+    order = substream(config.seed, "shuffle", day, epoch).permutation(len(items))
+    draws = substream(config.seed, "aug", day, epoch).random((len(items), AUG_DRAWS))
+    labels = np.array([label for _, label in items], dtype=np.int64)
     total_loss = 0.0
     correct = 0
     steps = 0
-    for batch in _batches(len(entries), config.batch_size):
+    for batch in _batches(len(items), config.batch_size):
         picked = order[batch.start : batch.stop]
-        pixels = np.stack([cache.image(entries[i][1]).pixels for i in picked])
-        rngs = [substream(config.seed, "aug", day, epoch, entries[i][0]) for i in picked]
-        x = normalize(augment_image(pixels, config.augment, rngs), config.norm, dtype=model.dtype)
+        pixels = np.stack([cache.image(items[i][0]).pixels for i in picked])
+        x = normalize(augment_image(pixels, config.augment, draws[picked]), config.norm, dtype=model.dtype)
         y = labels[picked]
         logits = model.forward(x)
         targets = nn.targets_for(config.loss_kind, y, model.num_classes, dtype=model.dtype)
@@ -155,26 +190,24 @@ def _train_epoch(model, optimizer, config, cache, entries, labels, day, epoch):
         total_loss += loss * len(batch)
         correct += int((np.argmax(logits, axis=1) == y).sum())
         steps += 1
-    return total_loss / len(entries), correct / len(entries), steps
+    return total_loss / len(items), correct / len(items), steps
 
 
 def run_day(model, optimizer, config, cache, train_items, val_items, day):
     """Day-epochs over one day's training set plus per-epoch validation.
 
-    train_items: list of (entry_index, rel_path, label); may be empty
-    (strategy A day 1: zero steps, validation still runs).
+    train_items: list of (rel_path, label); may be empty (strategy A
+    day 1: zero steps, validation still runs).
     val_items: list of (tensor, label).
     Returns (records, steps).
     """
-    entries = [(ei, rel) for ei, rel, _ in train_items]
-    labels = [label for _, _, label in train_items]
     records = []
     total_steps = 0
     for epoch in range(1, config.epochs_per_day + 1):
         train_loss = train_acc = None
-        if entries:
+        if train_items:
             train_loss, train_acc, steps = _train_epoch(
-                model, optimizer, config, cache, entries, labels, day, epoch
+                model, optimizer, config, cache, train_items, day, epoch
             )
             total_steps += steps
         val_loss, val_acc = evaluate(model, val_items, config.loss_kind, config.batch_size)
@@ -196,12 +229,10 @@ def pretrain(model, optimizer, config, cache, subset_items, val_items):
     """Epoch-capped pre-training with early stop at the target accuracy."""
     if not subset_items:
         raise ConfigError("pre-training subset is empty")
-    entries = [(ei, rel) for ei, rel, _ in subset_items]
-    labels = [label for _, _, label in subset_items]
     records = []
     for epoch in range(1, config.pretrain_epochs + 1):
         train_loss, train_acc, _ = _train_epoch(
-            model, optimizer, config, cache, entries, labels, 0, epoch
+            model, optimizer, config, cache, subset_items, 0, epoch
         )
         val_loss, val_acc = evaluate(model, val_items, config.loss_kind, config.batch_size)
         records.append(
@@ -325,9 +356,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     dayplan_write(plan, os.path.join(out_dir, _DAYPLAN_FILE))
 
     def day_items(indices):
-        # (entry_index, rel_path, label) per train-manifest index;
-        # entry_index keys augmentation
-        return [(i, train_m.entries[i][0], int(labels_all[i])) for i in indices]
+        # (rel_path, label) per train-manifest index
+        return [(train_m.entries[i][0], int(labels_all[i])) for i in indices]
 
     val_items = _eval_items(cache, val_m)
     test_items = _eval_items(cache, test_m)
@@ -340,9 +370,14 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     if resume:
         saved_hash, last_day, ckpt_name = _read_state(out_dir)
         if saved_hash != cfg_hash:
-            raise ConfigError("resume refused: config hash does not match the run directory")
+            raise ConfigError(
+                "resume refused: config hash does not match the run directory; "
+                "the directory may also predate the canonical config hash, "
+                "and such a directory cannot be resumed"
+            )
         model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
-        old = read_metrics(os.path.join(out_dir, _METRICS_FILE))
+        # a row torn by a kill mid-append is newer than state.txt: drop it
+        old = read_metrics(os.path.join(out_dir, _METRICS_FILE), drop_unterminated=True)
         kept = [r for r in old.records if r.phase == "pretrain" or r.day <= last_day]
         log.records.extend(kept)
         csv.start([format_record(run_id, r) for r in kept])
@@ -379,7 +414,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
             day_val_items = val_items
         else:
             day_val_items = [
-                (cache.tensor(rel), label) for _, rel, label in day_items(rest_idx[i] for i in val_idx)
+                (cache.tensor(rel), label) for rel, label in day_items(rest_idx[i] for i in val_idx)
             ]
         records, steps = run_day(model, optimizer, config, cache, train_items, day_val_items, day)
         total_steps += steps

@@ -19,6 +19,10 @@ def _tag_to_int(tag) -> int:
 
 
 def substream(seed: int, *tags) -> np.random.Generator:
-    """Generator keyed by (seed, tags); stable across runs and platforms."""
-    entropy = [int(seed) & 0xFFFFFFFF] + [_tag_to_int(t) for t in tags]
+    """Generator keyed by (seed, tags); stable across runs and platforms.
+
+    The entropy ends with the tag count: `SeedSequence` zero-pads short
+    entropy, so without it (s, "x") and (s, "x", 0) would share a stream.
+    """
+    entropy = [int(seed) & 0xFFFFFFFF] + [_tag_to_int(t) for t in tags] + [len(tags)]
     return np.random.default_rng(np.random.SeedSequence(entropy))

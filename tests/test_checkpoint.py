@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,46 @@ def test_layer_int_count_mismatch_rejected(tmp_path):
     data[25] = 4
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="Conv2dSpec takes 5 ints, got 4"):
+        nn.checkpoint_load(path)
+
+
+def _set_int(path, offset, value, was):
+    data = bytearray(path.read_bytes())
+    assert struct.unpack_from("<i", data, offset)[0] == was
+    struct.pack_into("<i", data, offset, value)
+    path.write_bytes(bytes(data))
+
+
+def test_wide_conv_in_layer_table_rejected_before_building(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(nn.Model(make_specs(), (1, 8, 8), seed=6), None, path)
+    _set_int(path, 30, 300000, was=4)  # layer 0's conv out_channels
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=r"bad layer table: layer 4 \(Dense\)"):
+            nn.checkpoint_load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 300000-channel conv was never built
+
+
+@pytest.mark.parametrize("offset,was", [(30, 4), (34, 3)], ids=["conv_out", "conv_kernel"])
+def test_huge_layer_int_rejected(tmp_path, offset, was):
+    path = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(nn.Model(make_specs(), (1, 8, 8), seed=6), None, path)
+    _set_int(path, offset, 2**31 - 1, was=was)
+    with pytest.raises(CheckpointError, match="bad layer table"):
+        nn.checkpoint_load(path)
+
+
+def test_parameters_larger_than_the_file_rejected(tmp_path):
+    # a consistent table whose last layer claims 2**31 - 1 logits
+    specs = [nn.FlattenSpec(), nn.DenseSpec(64, 3)]
+    path = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(nn.Model(specs, (1, 8, 8), seed=6), None, path)
+    _set_int(path, 32, 2**31 - 1, was=3)  # the dense layer's out_features
+    with pytest.raises(CheckpointError, match=r"layer table implies \d+ parameter values"):
         nn.checkpoint_load(path)
 
 

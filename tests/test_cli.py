@@ -1,11 +1,12 @@
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from daylearn import data, nn
+from daylearn import data, nn, protocol
 from daylearn.cli import dispatch
 from daylearn.config import (
     load_effective_config,
@@ -245,20 +246,22 @@ class _HalfWriter:
         raise _Crash("killed mid-write")
 
 
-def _crash_nth_write(monkeypatch, name, nth):
-    """Make the nth opening for writing of a file named `name`* (temp files
-    included) through daylearn.data, where run files are written, a _HalfWriter."""
+def _crash_nth_write(monkeypatch, name, nth, module=data, mode_char="w"):
+    """Make the nth opening in `mode_char` mode of a file named `name`*
+    (temp files included) through `module` a _HalfWriter. Run files are
+    rewritten through daylearn.data and metrics rows appended by
+    daylearn.protocol."""
     seen = []
 
     def fake_open(path, mode="r", *args, **kwargs):
         f = open(path, mode, *args, **kwargs)
-        if "w" in mode and os.path.basename(str(path)).startswith(name):
+        if mode_char in mode and os.path.basename(str(path)).startswith(name):
             seen.append(path)
             if len(seen) == nth:
                 return _HalfWriter(f)
         return f
 
-    monkeypatch.setattr(data, "open", fake_open, raising=False)
+    monkeypatch.setattr(module, "open", fake_open, raising=False)
 
 
 def _assert_same_run(a, b):
@@ -291,6 +294,44 @@ def test_kill_while_rewriting_metrics_resumes_byte_identical(tmp_path, monkeypat
     assert (crashed / "metrics.csv").read_bytes() == kept
     assert dispatch(argv + ["--resume"]) == 0
     _assert_same_run(full, crashed)
+
+
+def test_kill_while_appending_metrics_resumes_byte_identical(tmp_path, monkeypatch):
+    full, crashed = tmp_path / "full", tmp_path / "crashed"
+    assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
+    argv = _small_run_argv(tmp_path, crashed, days=4)
+    _crash_nth_write(monkeypatch, "metrics.csv", 3, module=protocol, mode_char="a")  # day 3's row
+    with pytest.raises(_Crash):
+        dispatch(argv)
+    monkeypatch.undo()
+    assert "last_day=2" in (crashed / "state.txt").read_text()
+    assert not (crashed / "metrics.csv").read_bytes().endswith(b"\n")  # a torn row
+    assert dispatch(argv + ["--resume"]) == 0
+    _assert_same_run(full, crashed)
+
+
+def test_resume_after_moving_the_data_directory(tmp_path):
+    full, moved = tmp_path / "full", tmp_path / "moved"
+    assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
+    assert dispatch(_small_run_argv(tmp_path, moved, days=4) + ["--stop-after-day", "2"]) == 0
+    (tmp_path / "data").rename(tmp_path / "data_moved")
+    argv = [a.replace(str(tmp_path / "data"), str(tmp_path / "data_moved"))
+            for a in _small_run_argv(tmp_path / "none", moved, days=4)]
+    assert dispatch(argv + ["--resume"]) == 0
+    _assert_same_run(full, moved)
+
+
+def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = _small_run_argv(tmp_path, out, days=4)
+    assert dispatch(argv + ["--stop-after-day", "2"]) == 0
+    state = (out / "state.txt").read_text().splitlines()
+    state[0] = "config_hash=" + "0" * 64
+    (out / "state.txt").write_text("\n".join(state) + "\n")
+    assert dispatch(argv + ["--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_ERROR: resume refused: config hash does not match")
+    assert "may also predate the canonical config hash" in err
 
 
 def test_exit_code_data_error(tmp_path, capsys):
@@ -327,6 +368,21 @@ def test_exit_code_corrupt_layer_table(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("CHECKPOINT_ERROR: layer kind Conv2dSpec takes 5 ints")
     assert "Traceback" not in err
+
+
+def test_exit_code_layer_table_too_wide(tmp_path, capsys):
+    model = nn.Model([nn.Conv2dSpec(1, 2, 3, 1, 1), nn.FlattenSpec(), nn.DenseSpec(2 * 8 * 8, 2)],
+                     (1, 8, 8))
+    ckpt = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(model, None, ckpt)
+    data = bytearray(ckpt.read_bytes())
+    assert struct.unpack_from("<i", data, 30)[0] == 2  # the first conv's out_channels
+    struct.pack_into("<i", data, 30, 300000)
+    ckpt.write_bytes(bytes(data))
+    rc = dispatch(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(tmp_path / "m.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CHECKPOINT_ERROR: bad layer table: layer 2 (Dense)")
 
 
 def test_exit_code_checkpoint_trailing_bytes(tmp_path, capsys):

@@ -203,14 +203,16 @@ def test_augment_property_run():
     assert a == b
 
 
-def _reference_augment(pixels, config, rng):
-    """One image through flip, rotation, translation and jitter in turn."""
+def _reference_augment(pixels, config, row):
+    """One image through flip, rotation, translation and jitter in turn,
+    reading the flip, angle, dy, dx and jitter draws from row[0..4]."""
     px = pixels
     h, w = px.shape
-    if config.hflip_probability > 0 and rng.random() < config.hflip_probability:
+    if row[0] < config.hflip_probability:
         px = px[:, ::-1]
     if config.rotation_degrees > 0:
-        theta = math.radians(rng.uniform(-config.rotation_degrees, config.rotation_degrees))
+        r = config.rotation_degrees
+        theta = math.radians(-r + 2 * r * row[1])
         cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
         yy, xx = np.mgrid[0:h, 0:w]
         dy, dx = yy - cy, xx - cx
@@ -222,15 +224,16 @@ def _reference_augment(pixels, config, rng):
         px = rotated
     if config.translate_fraction > 0:
         t = config.translate_fraction
-        dy = int(round(rng.uniform(-t, t) * h))
-        dx = int(round(rng.uniform(-t, t) * w))
+        dy = int(round((-t + 2 * t * row[2]) * h))
+        dx = int(round((-t + 2 * t * row[3]) * w))
         shifted = np.zeros_like(px)
         shifted[max(dy, 0) : min(h + dy, h), max(dx, 0) : min(w + dx, w)] = px[
             max(-dy, 0) : min(h - dy, h), max(-dx, 0) : min(w - dx, w)
         ]
         px = shifted
     if config.jitter_fraction > 0:
-        factor = rng.uniform(1.0 - config.jitter_fraction, 1.0 + config.jitter_fraction)
+        j = config.jitter_fraction
+        factor = 1.0 - j + 2 * j * row[4]
         px = np.clip(np.rint(px.astype(np.float64) * factor), 0, 255).astype(np.uint8)
     return px
 
@@ -245,13 +248,42 @@ def test_augment_batch_byte_equal_per_image(config):
     for seed in range(50):
         h, w = (32, 32) if seed % 5 else (9, 14)
         stack = substream(seed, "stack").integers(0, 256, size=(6, h, w), dtype=np.uint8)
-        rngs = [substream(seed, "aug", i) for i in range(len(stack))]
-        batch = data.augment_batch(stack, config, rngs)
+        draws = substream(seed, "aug").random((len(stack), data.AUG_DRAWS))
+        batch = data.augment_batch(stack, config, draws)
         assert batch.dtype == np.uint8 and batch.shape == stack.shape
-        ref = np.stack([_reference_augment(px, config, substream(seed, "aug", i)) for i, px in enumerate(stack)])
+        ref = np.stack([_reference_augment(px, config, row) for px, row in zip(stack, draws)])
         assert batch.tobytes() == ref.tobytes()
         singles = [data.augment(data.Image(px), config, substream(seed, "aug", i)).pixels for i, px in enumerate(stack)]
-        assert np.stack(singles).tobytes() == ref.tobytes()
+        rows = [substream(seed, "aug", i).random(data.AUG_DRAWS) for i in range(len(stack))]
+        assert np.stack(singles).tobytes() == np.stack(
+            [_reference_augment(px, config, row) for px, row in zip(stack, rows)]).tobytes()
+
+
+def test_augment_is_row_zero_of_augment_batch():
+    cfg = data.AugmentConfig(0.5, 15.0, 0.2, 0.3)
+    for seed in range(20):
+        stack = substream(seed, "stack").integers(0, 256, size=(5, 12, 12), dtype=np.uint8)
+        batch = data.augment_batch(stack, cfg, substream(seed, "aug").random((5, data.AUG_DRAWS)))
+        single = data.augment(data.Image(stack[0]), cfg, substream(seed, "aug"))
+        assert single.pixels.tobytes() == batch[0].tobytes()
+
+
+def test_disabled_augmentation_leaves_its_column_unread():
+    # rotation off: flip, shift and jitter still read columns 0, 2, 3 and 4
+    cfg = data.AugmentConfig(0.5, 0.0, 0.2, 0.3)
+    for seed in range(20):
+        stack = substream(seed, "stack").integers(0, 256, size=(8, 16, 16), dtype=np.uint8)
+        draws = substream(seed, "aug").random((8, data.AUG_DRAWS))
+        got = data.augment_batch(stack, cfg, draws)
+        ref = np.stack([_reference_augment(px, cfg, row) for px, row in zip(stack, draws)])
+        assert got.tobytes() == ref.tobytes()
+        scrambled = draws.copy()
+        scrambled[:, 1] = substream(seed, "other").random(8)
+        assert data.augment_batch(stack, cfg, scrambled).tobytes() == got.tobytes()
+        for col in (0, 2, 3, 4):  # each of the read columns does matter
+            moved = draws.copy()
+            moved[:, col] = 1.0 - moved[:, col]
+            assert data.augment_batch(stack, cfg, moved).tobytes() != got.tobytes(), col
 
 
 def test_normalize_stack_byte_equal_per_image():

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from daylearn import nn
+from daylearn import nn, protocol
 from daylearn.config import parse_layers
-from daylearn.data import gen_synthetic
+from daylearn.data import AUG_DRAWS, AugmentConfig, augment_batch, gen_synthetic, manifest_read
 from daylearn.errors import ConfigError, UsageError
 from daylearn.metrics import read_metrics
 from daylearn.protocol import (
@@ -203,6 +203,82 @@ def test_resume_refuses_config_mismatch(dataset, tmp_path):
     other = small_config(dataset, seed=3)
     with pytest.raises(ConfigError, match="hash"):
         run_experiment(other, tmp_path / "run", resume=True)
+
+
+# ---------------------------------------------------------------------------
+# config hash
+# ---------------------------------------------------------------------------
+
+
+def test_config_hash_leaves_out_data_root(dataset):
+    assert small_config(dataset).config_hash() == small_config("/moved/elsewhere").config_hash()
+
+
+def test_config_hash_compares_numbers_by_value(dataset):
+    a = small_config(dataset, learning_rate=1.0, split_fractions=(0.7, 0.1, 0.2))
+    b = small_config(dataset, learning_rate=1, split_fractions=[0.7, 0.1, 0.2])
+    assert a.config_hash() == b.config_hash()
+
+
+def test_config_hash_sees_nested_and_layer_fields(dataset):
+    base = small_config(dataset).config_hash()
+    assert small_config(dataset, augment=AugmentConfig(0.4)).config_hash() != base
+    other_layers = parse_layers(LAYERS.replace("pool:2,flatten", "relu,pool:2,flatten"), 16)
+    assert small_config(dataset, layers=other_layers).config_hash() != base
+    assert small_config(dataset, seed=2).config_hash() != base
+    # field-free layers differ by type alone
+    conv, dense = nn.Conv2dSpec(1, 2, 3, 1, 1), nn.DenseSpec(2 * 16 * 16, 3)
+    a = small_config(dataset, layers=[conv, nn.ReLUSpec(), nn.FlattenSpec(), dense])
+    b = small_config(dataset, layers=[conv, nn.FlattenSpec(), nn.ReLUSpec(), dense])
+    assert a.config_hash() != b.config_hash()
+
+
+def test_config_hash_is_pinned():
+    # the serialization is part of the run-directory format: a change
+    # here makes every existing run directory unresumable
+    cfg = ExperimentConfig(layers=parse_layers(LAYERS, 16), image_size=16)
+    assert cfg.config_hash() == "971d7b406614a880cd47cdb2c6c40bbc8b52bc07e2d8dc403436e8792422e183"
+
+
+# ---------------------------------------------------------------------------
+# augmentation draws
+# ---------------------------------------------------------------------------
+
+
+def test_one_aug_stream_per_epoch(dataset, tmp_path, monkeypatch):
+    aug_tags = []
+    real = protocol.substream
+
+    def counting(seed, *tags):
+        if tags[0] == "aug":
+            aug_tags.append(tags[1:])
+        return real(seed, *tags)
+
+    monkeypatch.setattr(protocol, "substream", counting)
+    cfg = small_config(dataset, pretrain_size=16, pretrain_epochs=2, pretrain_target=2.0,
+                       total_days=3, epochs_per_day=2)
+    run_experiment(cfg, tmp_path / "run")
+    assert aug_tags == [(day, epoch) for day in range(4) for epoch in (1, 2)]
+
+
+def test_draw_row_belongs_to_the_item_not_its_batch_slot(dataset, monkeypatch):
+    cfg = small_config(dataset, batch_size=4)
+    cache = DatasetCache(dataset, cfg.norm)
+    items = [(rel, 0) for rel, _ in manifest_read(os.path.join(dataset, "manifest.txt")).entries[:10]]
+    seen = []
+
+    def recording(pixels, config, draws):
+        seen.extend(zip(pixels, draws))
+        return augment_batch(pixels, config, draws)
+
+    monkeypatch.setattr(protocol, "augment_image", recording)
+    model = build_model(cfg)
+    protocol._train_epoch(model, nn.Adam(1e-3), cfg, cache, items, 2, 3)
+    table = protocol.substream(cfg.seed, "aug", 2, 3).random((len(items), AUG_DRAWS))
+    assert len(seen) == len(items)
+    for px, row in seen:
+        i = next(i for i, (rel, _) in enumerate(items) if np.array_equal(cache.image(rel).pixels, px))
+        assert row.tobytes() == table[i].tobytes()
 
 
 # ---------------------------------------------------------------------------
