@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from .data import AugmentConfig, NormalizationSpec, GRAY_MEAN, GRAY_STD
+from .data import AugmentConfig, NormalizationSpec, GRAY_MEAN, GRAY_STD, replacing_open
 from .errors import ConfigError
 from .metrics import DetectorConfig
 from .nn import (
@@ -191,7 +191,7 @@ def to_detector_config(effective) -> DetectorConfig:
 
 
 def write_effective_config(effective, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with replacing_open(path) as f:
         for key in sorted(effective):
             value = effective[key]
             if isinstance(value, bool):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,31 +70,26 @@ def pgm_write(image: Image, path):
         f.write(image.pixels.tobytes())
 
 
+# whitespace and '#' comments, each comment running to the end of its line
+_PGM_GAP = rb"(?:\s|#[^\n]*\n)*"
+# magic, width, height, maxval: four tokens of non-whitespace bytes, each
+# after a gap; a short header matches its leading tokens only
+_PGM_HEADER = re.compile((b"(?:" + _PGM_GAP + rb"([^\s#]\S*)") * 4 + b")?" * 4)
+_PGM_GAP_RE = re.compile(_PGM_GAP)
+
+
 def pgm_read(path) -> Image:
     with open(path, "rb") as f:
         data = f.read()
 
-    # header = magic, width, height, maxval as whitespace-separated tokens;
-    # '#' starts a comment running to end of line
-    tokens = []
-    off = 0
-    while len(tokens) < 4:
-        if off >= len(data):
-            raise DataError(f"{path}: truncated PGM header at offset {off}")
-        c = data[off : off + 1]
-        if c.isspace():
-            off += 1
-            continue
-        if c == b"#":
-            nl = data.find(b"\n", off)
-            if nl < 0:
-                raise DataError(f"{path}: unterminated comment at offset {off}")
-            off = nl + 1
-            continue
-        start = off
-        while off < len(data) and not data[off : off + 1].isspace():
-            off += 1
-        tokens.append(data[start:off])
+    m = _PGM_HEADER.match(data)
+    if m.lastindex != 4:
+        # the gap after the last token ends at a '#' with no newline or at the end
+        off = _PGM_GAP_RE.match(data, m.end()).end()
+        if off < len(data):
+            raise DataError(f"{path}: unterminated comment at offset {off}")
+        raise DataError(f"{path}: truncated PGM header at offset {off}")
+    tokens, off = m.groups(), m.end()
 
     if tokens[0] != b"P5":
         raise DataError(f"{path}: not a binary PGM (magic {tokens[0]!r} at offset 0)")
@@ -154,7 +150,7 @@ class Manifest:
 
 
 def manifest_write(manifest: Manifest, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with replacing_open(path) as f:
         f.write("#classes:\t" + ",".join(manifest.class_names) + "\n")
         for p, label in manifest.entries:
             f.write(f"{p}\t{label}\n")

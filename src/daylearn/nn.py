@@ -15,7 +15,7 @@ evaluation) computes the same logits with the same operations but
 writes no layer state, so an evaluation may run between a training
 forward and its backward.
 
-`Model` runs its layers in one execution order, fixed at build time:
+`Model` runs its layers in one execution plan, fixed at build time:
 the declared order, except that a ReLU directly followed by a MaxPool2d
 runs after it. Max and ReLU commute, so ReLU then works on a k*k
 smaller tensor and the pool no longer needs ReLU's output. Where a
@@ -27,6 +27,27 @@ is never -0.0, since its bias starts at +0.0 and no SGD or Adam step
 turns +0.0 into -0.0. `backward` walks the same order reversed;
 `specs`, `layers` and checkpoints keep the declared order.
 
+A Conv2d directly followed by a MaxPool2d (through the ReLU before it,
+if any) runs with it as one step: `conv.forward(x, bias=False)` returns
+the (n, cout, Ho, Wo) view of its GEMM output, with no crop copy and no
+bias, and `pool.forward(y, bias=conv.b)` reads its windows from that
+view (only columns < (Wo // k) * k <= Wo, never the wrap columns) and
+adds the bias at pooled size. In eval the pool takes the running
+maximum of the unbiased windows and then adds b, which is exact: float
+rounding is monotone, so max_i fl(x_i + b) == fl(max_i x_i + b); a ReLU
+after the pool is then applied in place too. In training the winners
+must be taken on biased values, because two distinct x_i can round to
+one x_i + b (in float32 with b = 1.0, 0.0 and 2**-26 both give 1.0) and
+the first of them takes the gradient. There the pool adds the bias
+while it copies each strided window, from a contiguous pooled-size
+bias array (a broadcast (c,) operand makes that strided add ~2x
+slower), and the ReLU stays a layer of its own, whose mask backward
+needs. Output and gradient bytes equal the unfused layers'. The step
+enters through `Conv2d.forward` and `MaxPool2d.forward`, one call each
+per `Model.forward`, and every `Conv2d.backward` follows its layer's
+forward; an outside tracer that wraps those class methods relies on
+both. The GEMM output is released as soon as the pool has read it.
+
 Conv2d is im2col plus one GEMM (Chellapilla et al. 2006) over flat
 rows. The input is padded into a zero buffer of Wp = W + 2p columns,
 with spare rows so the last kernel offset stays in bounds, and viewed as
@@ -35,9 +56,10 @@ ki*Wp + kj and holds Ho*Wp elements at step `stride`: one long run per
 (n, cin) rather than Ho runs of Wo. These fill a (n, cin*k*k, Ho*Wp)
 column buffer that meets w.reshape(cout, -1) in one batched matmul. The
 last Wp - Wo columns of each output row wrap into the next input row;
-they are dropped before the bias add. For stride s > 1 about 1 - 1/s of
-the GEMM columns are such waste; no model here uses stride > 1, so one
-kernel serves every stride. Backward rebuilds columns from the cached
+they are dropped before the bias add, or stay in the view a fused pool
+reads. For stride s > 1 about 1 - 1/s of the GEMM columns are such
+waste; no model here uses stride > 1, so one kernel serves every
+stride. Backward rebuilds columns from the cached
 flat buffer instead of caching them. The weight gradient takes only the
 Ho*Wo real positions, one (Ho, Wo) window per offset, so its GEMM has no
 wrap columns to skip; it is computed as cols @ g.T, summed over the
@@ -202,7 +224,10 @@ class Conv2d(_Layer):
             cols[:, :, ki, kj] = xp[_window(ki, kj, ho, wo, self.spec.stride)]
         return cols.reshape(n, c * k * k, ho * wo)
 
-    def forward(self, x, train=True):
+    def forward(self, x, train=True, bias=True):
+        """(n, cout, ho, wo) output. bias=False returns the GEMM output's
+        view instead, wrap columns still in memory and no bias added: the
+        MaxPool2d after this conv adds the bias at pooled size."""
         s = self.spec
         n, c, h, w = x.shape
         p = s.padding
@@ -214,10 +239,13 @@ class Conv2d(_Layer):
         flat = xp.reshape(n, c, rows * wp)
         out = np.matmul(self.w.reshape(s.out_channels, -1), self._flat_cols(flat, ho, wp))
         # columns wo..wp-1 of each output row wrap into the next input row
-        out = np.ascontiguousarray(out.reshape(n, s.out_channels, ho, wp)[..., :wo])
-        out += self.b[None, :, None, None]
+        out = out.reshape(n, s.out_channels, ho, wp)[..., :wo]
         if train:
             self._cache = (flat, x.shape)
+        if not bias:
+            return out
+        out = np.ascontiguousarray(out)
+        out += self.b[None, :, None, None]
         return out
 
     def backward(self, gy, input_grad=True):
@@ -291,29 +319,49 @@ class MaxPool2d(_Layer):
         self.grads = []
         self._cache = None
 
-    def forward(self, x, train=True):
+    def forward(self, x, train=True, bias=None, relu=False):
+        """Pooled x + bias, bias (c,) or None. relu=True (eval only) also
+        clamps the pooled tensor at zero, in place."""
         k = self.spec.kernel
         ho, wo = x.shape[2] // k, x.shape[3] // k
         if ho < 1 or wo < 1:
             raise ConfigError(f"pool output would be empty for input {x.shape}")
-        out = x[_window(0, 0, ho, wo, k)].copy()
-        if train:
-            # offset of each window's first maximum: a later offset replaces it
-            # only with a strictly larger value, and offsets rise, so max() keeps it
-            idx = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
-            buf, gt = np.empty_like(out), np.empty(out.shape, dtype=bool)
+        if not train:
+            # max_i fl(x_i + b) == fl(max_i x_i + b): rounding is monotone
+            out = x[_window(0, 0, ho, wo, k)].copy()
+            for ki, kj in _offsets(k)[1:]:
+                np.maximum(out, x[_window(ki, kj, ho, wo, k)], out=out)
+            if bias is not None:
+                out += bias[None, :, None, None]
+            if relu:
+                np.maximum(out, out.dtype.type(0), out=out)
+            return out
+        # winners are taken on biased values, since two x_i may round to
+        # one x_i + b: the offset of each window's first maximum, which a
+        # later offset replaces only with a strictly larger value
+        x0 = x[_window(0, 0, ho, wo, k)]
+        if bias is None:
+            out = x0.copy()
+        else:
+            # a contiguous pooled-size bias: a strided read that adds it
+            # costs about a strided copy, half what a broadcast (c,) bias costs
+            b = np.empty(x0.shape, dtype=x.dtype)
+            b[...] = bias[None, :, None, None]
+            out = x0 + b
+        idx = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+        buf, gt = np.empty_like(out), np.empty(out.shape, dtype=bool)
         for o, (ki, kj) in enumerate(_offsets(k)[1:], 1):
+            # one strided read (adding the bias on the way), then the compare
+            # and both maxima run on contiguous operands
             xw = x[_window(ki, kj, ho, wo, k)]
-            if train:
-                # one strided read, then the compare and both maxima run on
-                # contiguous operands: faster than reading the view twice
+            if bias is None:
                 buf[...] = xw
-                xw = buf
-                np.greater(xw, out, out=gt)
-                np.maximum(idx, gt * idx.dtype.type(o), out=idx)
-            np.maximum(out, xw, out=out)
-        if train:
-            self._cache = (idx, x.shape)
+            else:
+                np.add(xw, b, out=buf)
+            np.greater(buf, out, out=gt)
+            np.maximum(idx, gt * idx.dtype.type(o), out=idx)
+            np.maximum(out, buf, out=out)
+        self._cache = (idx, x.shape)
         return out
 
     def backward(self, gy):
@@ -409,19 +457,28 @@ def _param_count(spec):
     return 0
 
 
-def _execution_order(specs):
-    """Layer indices in the order forward runs them: a ReLU directly
-    followed by a MaxPool2d runs after it, on the k*k smaller tensor."""
-    order, i = [], 0
+def _execution_plan(specs):
+    """Forward steps in run order, each a (conv, i, relu) triple of layer
+    indices. For a MaxPool2d i, conv is the Conv2d directly before it (or
+    before the ReLU before it), run as one step with the pool, and relu a
+    ReLU directly before or after it, which runs after it on the k*k
+    smaller tensor. Otherwise, and where there is no such layer, None."""
+    kinds = [type(spec) for spec in specs] + [None, None]
+    plan, i = [], 0
     while i < len(specs):
-        if (isinstance(specs[i], ReLUSpec) and i + 1 < len(specs)
-                and isinstance(specs[i + 1], MaxPool2dSpec)):
-            order += [i + 1, i]
-            i += 2
-        else:
-            order.append(i)
-            i += 1
-    return order
+        conv = relu = None
+        if kinds[i] is Conv2dSpec and (
+            kinds[i + 1] is MaxPool2dSpec or kinds[i + 1 : i + 3] == [ReLUSpec, MaxPool2dSpec]
+        ):
+            conv, i = i, i + 1
+        if kinds[i] is ReLUSpec and kinds[i + 1] is MaxPool2dSpec:
+            relu, i = i, i + 1
+        nxt = i + 1
+        if kinds[i] is MaxPool2dSpec and relu is None and kinds[i + 1] is ReLUSpec:
+            relu, nxt = i + 1, i + 2
+        plan.append((conv, i, relu))
+        i = nxt
+    return plan
 
 
 class Model:
@@ -442,7 +499,8 @@ class Model:
             for i, spec in enumerate(self.specs)
         ]
         self._first_trained = next((i for i, l in enumerate(self.layers) if l.params), -1)
-        self._order = _execution_order(self.specs)
+        self._plan = _execution_plan(self.specs)
+        self._order = [i for step in self._plan for i in step if i is not None]
 
     @property
     def num_classes(self):
@@ -484,8 +542,19 @@ class Model:
             raise ConfigError(
                 f"input shape {x.shape} does not match model input [batch, {self.input_shape}]"
             )
-        for i in self._order:
-            x = self.layers[i].forward(x, train=train)
+        for conv, i, relu in self._plan:
+            if conv is None:
+                x = self.layers[i].forward(x, train=train)
+            else:
+                # rebinding x frees the conv's GEMM output once the pool has read it
+                c = self.layers[conv]
+                x = c.forward(x, train=train, bias=False)
+                fold = relu is not None and not train  # eval: the pool applies the ReLU
+                x = self.layers[i].forward(x, train=train, bias=c.b, relu=fold)
+                if fold:
+                    continue
+            if relu is not None:
+                x = self.layers[relu].forward(x, train=train)
         return x
 
     def backward(self, glogits, input_grad=True):

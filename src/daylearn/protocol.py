@@ -453,5 +453,5 @@ def _write_meta(out_dir, config, t0, total_steps, interrupted_at=None):
     ]
     if interrupted_at is not None:
         lines.append(f"interrupted_after_day={interrupted_at}")
-    with open(os.path.join(out_dir, "run_meta.txt"), "w", encoding="utf-8", newline="\n") as f:
+    with replacing_open(os.path.join(out_dir, "run_meta.txt")) as f:
         f.write("\n".join(lines) + "\n")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .data import replacing_open
 from .errors import ConfigError, DataError, UsageError
 from .rng import substream
 
@@ -55,7 +56,7 @@ def plan_days(manifest_size, n_per_day, total_days, seed, allow_short_final=Fals
 
 
 def dayplan_write(plan: DayPlan, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with replacing_open(path) as f:
         f.write(f"#n_per_day:\t{plan.n_per_day}\n")
         for d, batch in enumerate(plan.days, start=1):
             f.write(f"{d}\t" + ",".join(str(i) for i in batch) + "\n")

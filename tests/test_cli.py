@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from daylearn import data, nn, protocol
+from daylearn import config, data, nn, protocol, schedule
 from daylearn.cli import dispatch
 from daylearn.config import (
     load_effective_config,
@@ -292,6 +292,23 @@ def test_kill_while_rewriting_metrics_resumes_byte_identical(tmp_path, monkeypat
         dispatch(argv + ["--resume"])
     monkeypatch.undo()
     assert (crashed / "metrics.csv").read_bytes() == kept
+    assert dispatch(argv + ["--resume"]) == 0
+    _assert_same_run(full, crashed)
+
+
+@pytest.mark.parametrize("name", ["dayplan.txt", "test.txt", "effective_config.cfg", "run_meta.txt"])
+def test_kill_while_rewriting_a_run_file_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    full, crashed = tmp_path / "full", tmp_path / "crashed"
+    assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
+    argv = _small_run_argv(tmp_path, crashed, days=4)
+    assert dispatch(argv + ["--stop-after-day", "2"]) == 0
+    kept = (crashed / name).read_bytes()
+    for module in (data, schedule, config, protocol):  # whichever module writes it
+        _crash_nth_write(monkeypatch, name, 1, module=module)  # the resume's rewrite
+    with pytest.raises(_Crash):
+        dispatch(argv + ["--resume"])
+    monkeypatch.undo()
+    assert (crashed / name).read_bytes() == kept
     assert dispatch(argv + ["--resume"]) == 0
     _assert_same_run(full, crashed)
 

@@ -30,6 +30,21 @@ def test_pgm_round_trip_random(tmp_path):
     assert path.read_bytes() == (tmp_path / "r2.pgm").read_bytes()
 
 
+def test_pgm_header_comments_and_errors(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5 # a comment\n#another\n 2\t1\r\n# x#y\n255\n" + bytes([7, 9]))
+    assert np.array_equal(data.pgm_read(path).pixels, [[7, 9]])
+    for blob, message in [
+        (b"P5\n2 1\n# no newline", "unterminated comment at offset 7"),
+        (b"P5\n2 1 \n", "truncated PGM header at offset 8"),
+        (b"", "truncated PGM header at offset 0"),
+        (b"P5\n2 x#y 255\n\0\0", "non-numeric PGM header field"),
+    ]:
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=message):
+            data.pgm_read(path)
+
+
 def test_pgm_short_payload(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 64, 128]))

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -250,10 +251,16 @@ def _layer_state(model):
     return [getattr(layer, a, None) for layer in model.layers for a in names]
 
 
-# (layers, image size): a ragged pool:3 and a ReLU with no pool after it
+# (layers, image size): a ragged pool:3 after a padding-0 conv, a ReLU with
+# no pool after it, a conv->pool with no ReLU, a stride-2 conv before a
+# pool, pool:1, and two conv->pool blocks with the ReLU on either side
 ORDER_STACKS = [(layers, 32) for layers in BENCH_STACKS] + [
     ("conv:3:3:1:0,relu,pool:3,flatten,dense:3", 12),
     ("conv:3:3:1:1,relu,conv:4:3:1:1,pool:2,relu,flatten,dense:3", 8),
+    ("conv:3:3:1:1,pool:2,flatten,dense:3", 8),
+    ("conv:3:3:2:1,relu,pool:2,flatten,dense:3", 13),
+    ("conv:3:3:1:1,relu,pool:1,flatten,dense:3", 6),
+    ("conv:3:3:1:1,pool:2,relu,conv:4:3:1:1,relu,pool:2,flatten,dense:3", 8),
 ]
 
 
@@ -291,6 +298,102 @@ def test_model_step_byte_equal_declared_order(layers, size, dtype, input_grad):
     else:
         assert gx is None
     assert [g.tobytes() for g in m.gradients()] == [g.tobytes() for g in ref.gradients()]
+
+
+@pytest.mark.parametrize("layers,size", ORDER_STACKS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_logits_byte_equal_train_logits_on_order_stacks(layers, size, dtype):
+    m = nn.Model(parse_layers(layers, size), (1, size, size), seed=3, dtype=dtype)
+    rng = substream(3, "eval-train", size)
+    x = rng.integers(-1, 2, size=(4, 1, size, size)).astype(dtype)
+    x[2:] = rng.standard_normal((2, 1, size, size))
+    for layer in m.layers:  # nonzero biases, so the pool's bias add matters
+        if isinstance(layer, nn.Conv2d):
+            layer.b[...] = rng.standard_normal(layer.b.shape)
+    ev = m.forward(x, train=False)
+    assert all(state is None for state in _layer_state(m))
+    assert ev.tobytes() == m.forward(x).tobytes()
+
+
+def test_pool_winner_is_taken_on_biased_values():
+    # float32 with b = 1.0: 0.0 and 2**-26 both give 1.0, so the first of
+    # them wins, though the second is larger before the bias
+    def model():
+        m = nn.Model(parse_layers("conv:1:1:1:0,pool:2,flatten,dense:2", 4), (1, 4, 4),
+                     seed=8, dtype=np.float32)
+        m.layers[0].w[...] = 1.0
+        m.layers[0].b[...] = 1.0
+        return m
+
+    # all other windows are all zero, so only the tied window's winner
+    # moves the weight gradient
+    x = np.zeros((2, 1, 4, 4), dtype=np.float32)
+    x[0, 0, 0, :2] = [0.0, 2.0**-26]
+    assert np.float32(2.0**-26) + np.float32(1.0) == np.float32(1.0)
+    glogits = substream(8, "tie-g").standard_normal((2, 2)).astype(np.float32)
+    m, ref = model(), model()
+    logits = m.forward(x)
+    m.backward(glogits, input_grad=False)
+    ref_logits, _ = _declared_order_step(ref, x, glogits, input_grad=False)
+    assert logits.tobytes() == ref_logits.tobytes()
+    assert [g.tobytes() for g in m.gradients()] == [g.tobytes() for g in ref.gradients()]
+    assert m.layers[1]._cache[0][0, 0, 0, 0] == 0  # offset (0, 0) holds 0.0
+
+
+def test_conv_before_pool_returns_the_unbiased_uncropped_gemm_view():
+    conv = nn.Conv2d(nn.Conv2dSpec(2, 3, 3, 1, 1), substream(9, "conv"), np.float32)
+    x = substream(9, "x").standard_normal((2, 2, 6, 6)).astype(np.float32)
+    conv.b[...] = 0.0
+    unbiased = conv.forward(x, train=False)
+    conv.b[...] = [1.0, -2.0, 3.0]
+    y = conv.forward(x, train=False, bias=False)
+    assert y.shape == unbiased.shape and not y.flags.c_contiguous  # no crop copy
+    assert np.array_equal(y, unbiased)
+    assert y.base.shape == (2, 3, 6 * 8)  # rows of wp = 8 columns, 2 of them wrap
+
+
+@pytest.mark.parametrize("layers,size", ORDER_STACKS)
+@pytest.mark.parametrize("train", [True, False])
+def test_gemm_output_is_freed_once_the_pool_has_read_it(layers, size, train, monkeypatch):
+    m = nn.Model(parse_layers(layers, size), (1, size, size), seed=1)
+    gemms = []  # weak references to the GEMM outputs whose views fused convs return
+    for cls in (nn.Conv2d, nn.ReLU, nn.Flatten, nn.Dense):
+        def shim(*args, _orig=cls.forward, **kwargs):
+            # any layer after a fused conv runs after its pool has read the view
+            assert all(ref() is None for ref in gemms)
+            out = _orig(*args, **kwargs)
+            if kwargs.get("bias") is False:
+                gemms.append(weakref.ref(out.base))
+            return out
+
+        monkeypatch.setattr(cls, "forward", shim)
+    m.forward(substream(1, "free").standard_normal((3, 1, size, size)), train=train)
+    assert len(gemms) == sum(conv is not None for conv, _, _ in m._plan) > 0
+
+
+@pytest.mark.parametrize("layers,size", ORDER_STACKS)
+def test_tracer_sees_each_conv_and_pool_forward_once(layers, size, monkeypatch):
+    m = nn.Model(parse_layers(layers, size), (1, size, size), seed=0)
+    traced = sorted(id(l) for l in m.layers if isinstance(l, (nn.Conv2d, nn.MaxPool2d)))
+    log = []  # (method, layer) per call, from class-level shims as an outside tracer installs them
+    for cls in (nn.Conv2d, nn.MaxPool2d):
+        for attr in ("forward", "backward"):
+            def shim(*args, _orig=getattr(cls, attr), _attr=attr, **kwargs):
+                log.append((_attr, args[0]))
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(cls, attr, shim)
+    x = substream(0, "tracer").standard_normal((2, 1, size, size)).astype(np.float32)
+    for train in (False, True):
+        del log[:]
+        logits = m.forward(x, train=train)
+        assert sorted(id(l) for method, l in log if method == "forward") == traced
+    _, g = nn.softmax_cross_entropy(logits, np.arange(2) % m.num_classes)
+    m.backward(g, input_grad=False)
+    assert any(method == "backward" for method, _ in log)
+    for i, (method, layer) in enumerate(log):
+        if method == "backward" and isinstance(layer, nn.Conv2d):
+            assert ("forward", layer) in log[:i]
 
 
 @pytest.mark.parametrize("layers,size", ORDER_STACKS)
