@@ -223,25 +223,14 @@ def _cmd_plot(args):
     return 0
 
 
-def _grad_check_specs(image_size=8):
-    # every layer kind in one small stack
-    return [
-        nn.Conv2dSpec(1, 2, 3, 1, 1),
-        nn.ReLUSpec(),
-        nn.MaxPool2dSpec(2),
-        nn.Conv2dSpec(2, 3, 3, 1, 0),
-        nn.ReLUSpec(),
-        nn.FlattenSpec(),
-        nn.DenseSpec(3 * 2 * 2, 3),
-    ]
-
-
 def _cmd_grad_check(args):
+    # every layer kind in one small stack
+    specs = nn.parse_layers("conv:2:3:1:1,relu,pool:2,conv:3:3:1:0,relu,flatten,dense:3", 8)
     worst = 0.0
     failed = False
     for loss_kind in nn.LOSS_KINDS:
         for seed in range(args.seeds):
-            model = nn.Model(_grad_check_specs(), (1, 8, 8), seed=seed, dtype=np.float64)
+            model = nn.Model(specs, (1, 8, 8), seed=seed, dtype=np.float64)
             rng = substream(seed, "gradcheck", loss_kind)
             x = rng.standard_normal((4, 1, 8, 8))
             y = rng.integers(0, 3, size=4)

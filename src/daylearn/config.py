@@ -2,24 +2,20 @@
 
 Flat `section.key = value` text files. Effective config = defaults,
 overlaid by DAYLEARN_* environment variables, the file, then command-line
-overrides (highest precedence). Unknown keys are rejected.
+overrides (highest precedence). Unknown keys are rejected. Each key sets
+one dataclass field (FIELDS), whose type gives the key's parser and whose
+default is the key's default.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
-from .data import AugmentConfig, NormalizationSpec, GRAY_MEAN, GRAY_STD, replacing_open
+from .data import AugmentConfig, NormalizationSpec, replacing_open
 from .errors import ConfigError
 from .metrics import DetectorConfig
-from .nn import (
-    Conv2dSpec,
-    DenseSpec,
-    FlattenSpec,
-    MaxPool2dSpec,
-    ReLUSpec,
-    _propagate_shape,
-)
+from .nn import parse_layers
 from .protocol import ExperimentConfig
 
 ENV_PREFIX = "DAYLEARN_"
@@ -35,39 +31,53 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# key -> (parser, default)
-SCHEMA = {
-    "model.layers": (str, DEFAULT_LAYERS),
-    "optimizer.kind": (str, "adam"),
-    "optimizer.lr": (float, 1e-3),
-    "optimizer.beta1": (float, 0.9),
-    "optimizer.beta2": (float, 0.999),
-    "optimizer.epsilon": (float, 1e-8),
-    "optimizer.momentum": (float, 0.0),
-    "data.root": (str, ""),
-    "data.image_size": (int, 32),
-    "data.norm_mean": (float, GRAY_MEAN),
-    "data.norm_std": (float, GRAY_STD),
-    "data.hflip": (float, 0.5),
-    "data.rotate_degrees": (float, 5.0),
-    "data.translate": (float, 0.05),
-    "data.jitter": (float, 0.05),
-    "schedule.days": (int, 10),
-    "schedule.n_per_day": (int, 20),
-    "schedule.strategy": (str, "global"),
-    "schedule.allow_short_final": (_bool, False),
-    "protocol.loss": (str, "softmax_ce"),
-    "protocol.batch_size": (int, 16),
-    "protocol.epochs_per_day": (int, 1),
-    "protocol.pretrain_size": (int, 0),
-    "protocol.pretrain_epochs": (int, 5),
-    "protocol.pretrain_target": (float, 0.70),
-    "protocol.checkpoint_every": (int, 25),
-    "protocol.seed": (int, 0),
-    "detectors.window": (int, 20),
-    "detectors.slope_tol": (float, 0.002),
-    "detectors.var_tol": (float, 0.0015),
-    "detectors.spike_drop": (float, 0.15),
+# config key -> the dataclass field it sets; model.layers, a layer string
+# that parse_layers turns into ExperimentConfig.layers, is the one other key
+FIELDS = {
+    "optimizer.kind": (ExperimentConfig, "optimizer_kind"),
+    "optimizer.lr": (ExperimentConfig, "learning_rate"),
+    "optimizer.beta1": (ExperimentConfig, "beta1"),
+    "optimizer.beta2": (ExperimentConfig, "beta2"),
+    "optimizer.epsilon": (ExperimentConfig, "epsilon"),
+    "optimizer.momentum": (ExperimentConfig, "momentum"),
+    "data.root": (ExperimentConfig, "data_root"),
+    "data.image_size": (ExperimentConfig, "image_size"),
+    "data.norm_mean": (NormalizationSpec, "mean"),
+    "data.norm_std": (NormalizationSpec, "std"),
+    "data.hflip": (AugmentConfig, "hflip_probability"),
+    "data.rotate_degrees": (AugmentConfig, "rotation_degrees"),
+    "data.translate": (AugmentConfig, "translate_fraction"),
+    "data.jitter": (AugmentConfig, "jitter_fraction"),
+    "schedule.days": (ExperimentConfig, "total_days"),
+    "schedule.n_per_day": (ExperimentConfig, "n_per_day"),
+    "schedule.strategy": (ExperimentConfig, "strategy"),
+    "schedule.allow_short_final": (ExperimentConfig, "allow_short_final"),
+    "protocol.loss": (ExperimentConfig, "loss_kind"),
+    "protocol.batch_size": (ExperimentConfig, "batch_size"),
+    "protocol.epochs_per_day": (ExperimentConfig, "epochs_per_day"),
+    "protocol.pretrain_size": (ExperimentConfig, "pretrain_size"),
+    "protocol.pretrain_epochs": (ExperimentConfig, "pretrain_epochs"),
+    "protocol.pretrain_target": (ExperimentConfig, "pretrain_target"),
+    "protocol.checkpoint_every": (ExperimentConfig, "checkpoint_every"),
+    "protocol.seed": (ExperimentConfig, "seed"),
+    "detectors.window": (DetectorConfig, "window"),
+    "detectors.slope_tol": (DetectorConfig, "slope_tolerance"),
+    "detectors.var_tol": (DetectorConfig, "variance_tolerance"),
+    "detectors.spike_drop": (DetectorConfig, "spike_drop"),
+}
+
+# field annotations are strings (postponed evaluation)
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool}
+
+
+def _field_schema(cls, name):
+    f = next(f for f in fields(cls) if f.name == name)
+    return _PARSERS[f.type], f.default
+
+
+# key -> (parser, default), both taken from the key's dataclass field
+SCHEMA = {"model.layers": (str, DEFAULT_LAYERS)} | {
+    key: _field_schema(*field) for key, field in FIELDS.items()
 }
 
 
@@ -107,87 +117,24 @@ def load_effective_config(path=None, overrides=(), env=None):
     return effective
 
 
-def parse_layers(text, image_size):
-    """Layer string -> spec list, inferring conv input channels and
-    dense input features from shape propagation.
-
-    Tokens: conv:<out>:<kernel>:<stride>:<padding>, relu, pool:<kernel>,
-    flatten, dense:<out>.
-    """
-    shape = (1, image_size, image_size)
-    specs = []
-    for i, token in enumerate(t.strip() for t in text.split(",")):
-        parts = token.split(":")
-        name, args = parts[0], parts[1:]
-        try:
-            if name == "conv":
-                out_ch, k = int(args[0]), int(args[1])
-                stride = int(args[2]) if len(args) > 2 else 1
-                padding = int(args[3]) if len(args) > 3 else 0
-                if len(shape) != 3:
-                    raise ConfigError(f"layer {i} ({token}): conv needs a [C,H,W] input")
-                spec = Conv2dSpec(shape[0], out_ch, k, stride, padding)
-            elif name == "relu":
-                spec = ReLUSpec()
-            elif name == "pool":
-                spec = MaxPool2dSpec(int(args[0]))
-            elif name == "flatten":
-                spec = FlattenSpec()
-            elif name == "dense":
-                if len(shape) != 1:
-                    raise ConfigError(f"layer {i} ({token}): dense needs a flattened input")
-                spec = DenseSpec(shape[0], int(args[0]))
-            else:
-                raise ConfigError(f"layer {i}: unknown layer token {token!r}")
-        except (IndexError, ValueError):
-            raise ConfigError(f"layer {i}: malformed layer token {token!r}")
-        shape = _propagate_shape(i, spec, shape)
-        specs.append(spec)
-    return specs
+def _build(cls, effective, **extra):
+    """cls from its FIELDS keys in `effective`; other fields keep their defaults."""
+    kwargs = {name: effective[key] for key, (owner, name) in FIELDS.items() if owner is cls}
+    return cls(**kwargs, **extra)
 
 
-def to_experiment_config(effective, seed_override=None) -> ExperimentConfig:
-    seed = seed_override if seed_override is not None else effective["protocol.seed"]
-    layers = parse_layers(effective["model.layers"], effective["data.image_size"])
-    return ExperimentConfig(
-        layers=layers,
-        image_size=effective["data.image_size"],
-        optimizer_kind=effective["optimizer.kind"],
-        learning_rate=effective["optimizer.lr"],
-        beta1=effective["optimizer.beta1"],
-        beta2=effective["optimizer.beta2"],
-        epsilon=effective["optimizer.epsilon"],
-        momentum=effective["optimizer.momentum"],
-        loss_kind=effective["protocol.loss"],
-        batch_size=effective["protocol.batch_size"],
-        pretrain_size=effective["protocol.pretrain_size"],
-        pretrain_epochs=effective["protocol.pretrain_epochs"],
-        pretrain_target=effective["protocol.pretrain_target"],
-        total_days=effective["schedule.days"],
-        n_per_day=effective["schedule.n_per_day"],
-        epochs_per_day=effective["protocol.epochs_per_day"],
-        strategy=effective["schedule.strategy"],
-        allow_short_final=effective["schedule.allow_short_final"],
-        augment=AugmentConfig(
-            hflip_probability=effective["data.hflip"],
-            rotation_degrees=effective["data.rotate_degrees"],
-            translate_fraction=effective["data.translate"],
-            jitter_fraction=effective["data.jitter"],
-        ),
-        norm=NormalizationSpec(effective["data.norm_mean"], effective["data.norm_std"]),
-        seed=seed,
-        checkpoint_every=effective["protocol.checkpoint_every"],
-        data_root=effective["data.root"],
+def to_experiment_config(effective) -> ExperimentConfig:
+    return _build(
+        ExperimentConfig,
+        effective,
+        layers=parse_layers(effective["model.layers"], effective["data.image_size"]),
+        augment=_build(AugmentConfig, effective),
+        norm=_build(NormalizationSpec, effective),
     )
 
 
 def to_detector_config(effective) -> DetectorConfig:
-    return DetectorConfig(
-        window=effective["detectors.window"],
-        slope_tolerance=effective["detectors.slope_tol"],
-        variance_tolerance=effective["detectors.var_tol"],
-        spike_drop=effective["detectors.spike_drop"],
-    )
+    return _build(DetectorConfig, effective)
 
 
 def write_effective_config(effective, path):

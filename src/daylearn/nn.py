@@ -7,6 +7,13 @@ gradient verification, and an exact binary checkpoint format.
 Runs use float32; the gradient checker exercises the same code paths
 in float64.
 
+Each layer kind is one row of `LAYER_KINDS`: layer token, spec
+dataclass, layer class, checkpoint id. The spec holds the kind's
+check and shape rule (`out_shape`) and its parameter count, and its
+fields, in order, are both the token's ints and the checkpoint's;
+`parse_layers`, `Model` and the checkpoint reader and writer all read
+the table, so a new kind is its spec, its layer class and one row.
+
 Every forward takes a `train` flag. Training mode (the default) keeps
 what backward needs: the padded conv input, the ReLU mask, the pool's
 winning offsets and input shape, the dense input, the flatten shape.
@@ -82,7 +89,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -95,50 +103,101 @@ from .rng import substream
 # ---------------------------------------------------------------------------
 
 
+class _Spec:
+    """A layer kind's facts that need no layer built: `out_shape` checks
+    the spec and its input shape, `param_count` sizes its parameters.
+    The dataclass fields, in order, are the kind's checkpoint ints; a
+    kind with `infer_input` takes its first field from the incoming
+    shape's leading dimension when parsed from a layer token."""
+
+    infer_input = False
+
+    def out_shape(self, i, shape):
+        """Output shape of layer i; raises ConfigError on inconsistency."""
+        return shape
+
+    def param_count(self):
+        """Parameter values the layer holds: weights plus bias."""
+        return 0
+
+
 @dataclass(frozen=True)
-class Conv2dSpec:
+class Conv2dSpec(_Spec):
     in_channels: int
     out_channels: int
     kernel: int
     stride: int = 1
     padding: int = 0
 
+    infer_input = True
+
+    def out_hw(self, h, w):
+        k, st, p = self.kernel, self.stride, self.padding
+        return (h + 2 * p - k) // st + 1, (w + 2 * p - k) // st + 1
+
+    def out_shape(self, i, shape):
+        if self.kernel < 1 or self.stride < 1 or self.padding < 0:
+            raise ConfigError(f"layer {i}: conv kernel/stride must be >=1, padding >=0")
+        if self.in_channels < 1 or self.out_channels < 1:
+            raise ConfigError(f"layer {i}: conv channel counts must be >=1")
+        if len(shape) != 3 or shape[0] != self.in_channels:
+            raise ConfigError(
+                f"layer {i} (Conv2d): expected input channels {self.in_channels}, got shape {shape}"
+            )
+        ho, wo = self.out_hw(*shape[1:])
+        if ho < 1 or wo < 1:
+            raise ConfigError(f"layer {i} (Conv2d): empty output from input shape {shape}")
+        return (self.out_channels, ho, wo)
+
+    def param_count(self):
+        return self.out_channels * (self.in_channels * self.kernel**2 + 1)
+
 
 @dataclass(frozen=True)
-class DenseSpec:
+class DenseSpec(_Spec):
     in_features: int
     out_features: int
 
+    infer_input = True
+
+    def out_shape(self, i, shape):
+        if self.in_features < 1 or self.out_features < 1:
+            raise ConfigError(f"layer {i}: dense feature counts must be >=1")
+        if len(shape) != 1 or shape[0] != self.in_features:
+            raise ConfigError(
+                f"layer {i} (Dense): expected {self.in_features} input features, got shape {shape}"
+            )
+        return (self.out_features,)
+
+    def param_count(self):
+        return self.out_features * (self.in_features + 1)
+
 
 @dataclass(frozen=True)
-class ReLUSpec:
+class ReLUSpec(_Spec):
     pass
 
 
 @dataclass(frozen=True)
-class MaxPool2dSpec:
+class MaxPool2dSpec(_Spec):
     kernel: int
 
+    def out_shape(self, i, shape):
+        if self.kernel < 1:
+            raise ConfigError(f"layer {i}: pool kernel must be >=1")
+        if len(shape) != 3:
+            raise ConfigError(f"layer {i} (MaxPool2d): needs [C,H,W] input, got {shape}")
+        c, h, w = shape
+        ho, wo = h // self.kernel, w // self.kernel
+        if ho < 1 or wo < 1:
+            raise ConfigError(f"layer {i} (MaxPool2d): empty output from input shape {shape}")
+        return (c, ho, wo)
+
 
 @dataclass(frozen=True)
-class FlattenSpec:
-    pass
-
-
-def _validate_spec(i, spec):
-    if isinstance(spec, Conv2dSpec):
-        if spec.kernel < 1 or spec.stride < 1 or spec.padding < 0:
-            raise ConfigError(f"layer {i}: conv kernel/stride must be >=1, padding >=0")
-        if spec.in_channels < 1 or spec.out_channels < 1:
-            raise ConfigError(f"layer {i}: conv channel counts must be >=1")
-    elif isinstance(spec, DenseSpec):
-        if spec.in_features < 1 or spec.out_features < 1:
-            raise ConfigError(f"layer {i}: dense feature counts must be >=1")
-    elif isinstance(spec, MaxPool2dSpec):
-        if spec.kernel < 1:
-            raise ConfigError(f"layer {i}: pool kernel must be >=1")
-    elif not isinstance(spec, (ReLUSpec, FlattenSpec)):
-        raise ConfigError(f"layer {i}: unknown layer spec {spec!r}")
+class FlattenSpec(_Spec):
+    def out_shape(self, i, shape):
+        return (math.prod(shape),)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +206,13 @@ def _validate_spec(i, spec):
 
 
 class _Layer:
-    params: list  # np.ndarray refs, possibly empty
-    param_names: list
+    """A layer built from its spec. Layers without parameters keep the
+    empty defaults; the others set params, param_names and grads."""
+
+    params = param_names = grads = ()
+
+    def __init__(self, spec, rng, dtype):
+        self.spec = spec
 
     def forward(self, x, train=True):
         raise NotImplementedError
@@ -188,8 +252,7 @@ class Conv2d(_Layer):
     def _geometry(self, h, w):
         """(ho, wo, padded width wp, padded rows including spare ones)."""
         s = self.spec
-        ho = (h + 2 * s.padding - s.kernel) // s.stride + 1
-        wo = (w + 2 * s.padding - s.kernel) // s.stride + 1
+        ho, wo = s.out_hw(h, w)
         wp = w + 2 * s.padding
         # the last offset's slice ends here in the flat buffer
         end = (s.kernel - 1) * (wp + 1) + s.stride * (ho * wp - 1) + 1
@@ -292,12 +355,7 @@ class Dense(_Layer):
 
 
 class ReLU(_Layer):
-    def __init__(self, spec: ReLUSpec, rng, dtype):
-        self.spec = spec
-        self.params = []
-        self.param_names = []
-        self.grads = []
-        self._mask = None
+    _mask = None
 
     def forward(self, x, train=True):
         if train:
@@ -312,12 +370,7 @@ class ReLU(_Layer):
 
 class MaxPool2d(_Layer):
     # stride == kernel, floor cropping on ragged edges
-    def __init__(self, spec: MaxPool2dSpec, rng, dtype):
-        self.spec = spec
-        self.params = []
-        self.param_names = []
-        self.grads = []
-        self._cache = None
+    _cache = None
 
     def forward(self, x, train=True, bias=None, relu=False):
         """Pooled x + bias, bias (c,) or None. relu=True (eval only) also
@@ -377,12 +430,7 @@ class MaxPool2d(_Layer):
 
 
 class Flatten(_Layer):
-    def __init__(self, spec: FlattenSpec, rng, dtype):
-        self.spec = spec
-        self.params = []
-        self.param_names = []
-        self.grads = []
-        self._shape = None
+    _shape = None
 
     def forward(self, x, train=True):
         if train:
@@ -393,45 +441,44 @@ class Flatten(_Layer):
         return gy.reshape(self._shape)
 
 
-_LAYER_CLASSES = {
-    Conv2dSpec: Conv2d,
-    DenseSpec: Dense,
-    ReLUSpec: ReLU,
-    MaxPool2dSpec: MaxPool2d,
-    FlattenSpec: Flatten,
-}
+# one row per layer kind (see the module docstring)
+LayerKind = namedtuple("LayerKind", "token spec layer kind_id")
+LAYER_KINDS = (
+    LayerKind("conv", Conv2dSpec, Conv2d, 1),
+    LayerKind("dense", DenseSpec, Dense, 2),
+    LayerKind("relu", ReLUSpec, ReLU, 3),
+    LayerKind("pool", MaxPool2dSpec, MaxPool2d, 4),
+    LayerKind("flatten", FlattenSpec, Flatten, 5),
+)
+_BY_TOKEN = {k.token: k for k in LAYER_KINDS}
+_BY_SPEC = {k.spec: k for k in LAYER_KINDS}
+_BY_ID = {k.kind_id: k for k in LAYER_KINDS}
 
 
-def _propagate_shape(i, spec, shape):
-    """Output shape of one layer; raises ConfigError on inconsistency."""
-    if isinstance(spec, Conv2dSpec):
-        if len(shape) != 3 or shape[0] != spec.in_channels:
-            raise ConfigError(
-                f"layer {i} (Conv2d): expected input channels {spec.in_channels}, got shape {shape}"
-            )
-        c, h, w = shape
-        ho = (h + 2 * spec.padding - spec.kernel) // spec.stride + 1
-        wo = (w + 2 * spec.padding - spec.kernel) // spec.stride + 1
-        if ho < 1 or wo < 1:
-            raise ConfigError(f"layer {i} (Conv2d): empty output from input shape {shape}")
-        return (spec.out_channels, ho, wo)
-    if isinstance(spec, MaxPool2dSpec):
-        if len(shape) != 3:
-            raise ConfigError(f"layer {i} (MaxPool2d): needs [C,H,W] input, got {shape}")
-        c, h, w = shape
-        ho, wo = h // spec.kernel, w // spec.kernel
-        if ho < 1 or wo < 1:
-            raise ConfigError(f"layer {i} (MaxPool2d): empty output from input shape {shape}")
-        return (c, ho, wo)
-    if isinstance(spec, FlattenSpec):
-        return (math.prod(shape),)
-    if isinstance(spec, DenseSpec):
-        if len(shape) != 1 or shape[0] != spec.in_features:
-            raise ConfigError(
-                f"layer {i} (Dense): expected {spec.in_features} input features, got shape {shape}"
-            )
-        return (spec.out_features,)
-    return shape  # ReLU
+def parse_layers(text, image_size):
+    """Layer string -> spec list for a (1, image_size, image_size) input.
+
+    Tokens are comma-separated `name[:int...]`, with name a LAYER_KINDS
+    token; the ints fill the spec's fields in order, after the leading
+    in_channels/in_features, which the incoming shape supplies. Omitted
+    trailing fields take their defaults: conv:<out>:<kernel>[:<stride>
+    [:<padding>]], relu, pool:<kernel>, flatten, dense:<out>.
+    """
+    shape = (1, image_size, image_size)
+    specs = []
+    for i, token in enumerate(t.strip() for t in text.split(",")):
+        name, *args = token.split(":")
+        if name not in _BY_TOKEN:
+            raise ConfigError(f"layer {i}: unknown layer token {token!r}")
+        cls = _BY_TOKEN[name].spec
+        lead = [shape[0]] if cls.infer_input else []
+        try:
+            spec = cls(*lead, *map(int, args))
+        except (TypeError, ValueError):
+            raise ConfigError(f"layer {i}: malformed layer token {token!r}") from None
+        shape = spec.out_shape(i, shape)
+        specs.append(spec)
+    return specs
 
 
 def _output_shape(specs, input_shape):
@@ -441,20 +488,12 @@ def _output_shape(specs, input_shape):
         raise ConfigError("model needs at least one layer")
     shape = input_shape
     for i, spec in enumerate(specs):
-        _validate_spec(i, spec)
-        shape = _propagate_shape(i, spec, shape)
+        if type(spec) not in _BY_SPEC:
+            raise ConfigError(f"layer {i}: unknown layer spec {spec!r}")
+        shape = spec.out_shape(i, shape)
     if len(shape) != 1:
         raise ConfigError(f"model must end with a flat logit vector, got shape {shape}")
     return shape
-
-
-def _param_count(spec):
-    """Parameter values one layer holds: weights plus bias."""
-    if isinstance(spec, Conv2dSpec):
-        return spec.out_channels * (spec.in_channels * spec.kernel**2 + 1)
-    if isinstance(spec, DenseSpec):
-        return spec.out_features * (spec.in_features + 1)
-    return 0
 
 
 def _execution_plan(specs):
@@ -495,7 +534,7 @@ class Model:
         self.dtype = np.dtype(dtype)
         self.output_shape = _output_shape(self.specs, self.input_shape)
         self.layers = [
-            _LAYER_CLASSES[type(spec)](spec, substream(self.seed, "init", i), self.dtype)
+            _BY_SPEC[type(spec)].layer(spec, substream(self.seed, "init", i), self.dtype)
             for i, spec in enumerate(self.specs)
         ]
         self._first_trained = next((i for i, l in enumerate(self.layers) if l.params), -1)
@@ -646,30 +685,44 @@ def predict_batch(model, inputs):
 # ---------------------------------------------------------------------------
 
 
-class SGD:
-    kind = "sgd"
+class _Optimizer:
+    """Shared step: make state_per_param zero tensors per parameter on the
+    first step, abort on a non-finite gradient before anything changes,
+    count the step, then `_update`. An optimizer's checkpoint record is
+    its kind_id, its hyperparameters (the constructor's arguments, in
+    order) and its state tensors."""
 
-    def __init__(self, lr, momentum=0.0):
+    def __init__(self, lr):
         if lr <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if momentum < 0:
-            raise ConfigError("momentum must be >= 0")
         self.lr = float(lr)
-        self.momentum = float(momentum)
         self.t = 0
-        self.state = None  # [velocity] per parameter
-
-    def _init_state(self, params):
-        self.state = [np.zeros_like(p) for p in params]
+        self.state = None  # one tuple of state_per_param tensors per parameter
 
     def step(self, params, grads):
         if self.state is None:
-            self._init_state(params)
+            self.state = [tuple(np.zeros_like(p) for _ in range(self.state_per_param)) for p in params]
         for g in grads:
             if not np.all(np.isfinite(g)):
                 raise NumericError("non-finite gradient; step aborted")
         self.t += 1
-        for p, g, v in zip(params, grads, self.state):
+        self._update(params, grads)
+
+
+class SGD(_Optimizer):
+    kind = "sgd"
+    kind_id = 1
+    hyperparameters = ("lr", "momentum")
+    state_per_param = 1  # velocity
+
+    def __init__(self, lr, momentum=0.0):
+        super().__init__(lr)
+        if momentum < 0:
+            raise ConfigError("momentum must be >= 0")
+        self.momentum = float(momentum)
+
+    def _update(self, params, grads):
+        for p, g, (v,) in zip(params, grads, self.state):
             if self.momentum != 0.0:
                 v *= self.momentum
                 v += g
@@ -678,33 +731,23 @@ class SGD:
                 p -= self.lr * g
 
 
-class Adam:
+class Adam(_Optimizer):
     kind = "adam"
+    kind_id = 2
+    hyperparameters = ("lr", "beta1", "beta2", "epsilon")
+    state_per_param = 2  # m, v
 
     def __init__(self, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        if lr <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        super().__init__(lr)
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ConfigError("betas must be in [0,1)")
         if epsilon <= 0:
             raise ConfigError("epsilon must be > 0")
-        self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
-        self.t = 0
-        self.state = None  # [(m, v)] per parameter
 
-    def _init_state(self, params):
-        self.state = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
-
-    def step(self, params, grads):
-        if self.state is None:
-            self._init_state(params)
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise NumericError("non-finite gradient; step aborted")
-        self.t += 1
+    def _update(self, params, grads):
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
@@ -791,28 +834,8 @@ def grad_check_input(model, inputs, class_idx, loss_kind, h=1e-6):
 
 _MAGIC = b"SQLN"
 _VERSION = 1
-_KIND_IDS = {Conv2dSpec: 1, DenseSpec: 2, ReLUSpec: 3, MaxPool2dSpec: 4, FlattenSpec: 5}
-_ID_KINDS = {v: k for k, v in _KIND_IDS.items()}
-_OPT_IDS = {"sgd": 1, "adam": 2}
+_OPTIMIZERS = {cls.kind_id: cls for cls in (SGD, Adam)}
 _DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
-
-
-def _spec_ints(spec):
-    if isinstance(spec, Conv2dSpec):
-        return [spec.in_channels, spec.out_channels, spec.kernel, spec.stride, spec.padding]
-    if isinstance(spec, DenseSpec):
-        return [spec.in_features, spec.out_features]
-    if isinstance(spec, MaxPool2dSpec):
-        return [spec.kernel]
-    return []
-
-
-def _spec_from_ints(kind_id, vals):
-    cls = _ID_KINDS[kind_id]
-    want = len(fields(cls))
-    if len(vals) != want:
-        raise CheckpointError(f"layer kind {cls.__name__} takes {want} ints, got {len(vals)}")
-    return cls(*vals)
 
 
 def _write_tensor(f, arr):
@@ -869,8 +892,8 @@ def checkpoint_save(model, optimizer, path):
         f.write(struct.pack("<3I", *model.input_shape))
         f.write(struct.pack("<I", len(model.specs)))
         for spec in model.specs:
-            ints = _spec_ints(spec)
-            f.write(struct.pack("<BB", _KIND_IDS[type(spec)], len(ints)))
+            ints = astuple(spec)
+            f.write(struct.pack("<BB", _BY_SPEC[type(spec)].kind_id, len(ints)))
             f.write(struct.pack(f"<{len(ints)}i", *ints))
         params = [p for _, p in model.parameters()]
         f.write(struct.pack("<I", len(params)))
@@ -880,21 +903,10 @@ def checkpoint_save(model, optimizer, path):
             f.write(struct.pack("<B", 0))
             f.write(struct.pack("<Q", 0))
             return
-        f.write(struct.pack("<B", 1))
-        f.write(struct.pack("<B", _OPT_IDS[optimizer.kind]))
-        if optimizer.kind == "sgd":
-            hp = [optimizer.lr, optimizer.momentum]
-        else:
-            hp = [optimizer.lr, optimizer.beta1, optimizer.beta2, optimizer.epsilon]
-        f.write(struct.pack("<B", len(hp)))
+        hp = [getattr(optimizer, name) for name in optimizer.hyperparameters]
+        f.write(struct.pack("<BBB", 1, optimizer.kind_id, len(hp)))
         f.write(struct.pack(f"<{len(hp)}d", *hp))
-        tensors = []
-        if optimizer.state is not None:
-            if optimizer.kind == "sgd":
-                tensors = list(optimizer.state)
-            else:
-                for m, v in optimizer.state:
-                    tensors.extend([m, v])
+        tensors = [t for per_param in optimizer.state or () for t in per_param]
         f.write(struct.pack("<I", len(tensors)))
         for t in tensors:
             _write_tensor(f, t)
@@ -916,17 +928,19 @@ def checkpoint_load(path, dtype=np.float32):
     specs = []
     for _ in range(n_layers):
         kind_id = r.u8("layer kind")
-        if kind_id not in _ID_KINDS:
+        if kind_id not in _BY_ID:
             raise CheckpointError(f"unknown layer kind id {kind_id} at offset {r.off - 1}")
+        cls = _BY_ID[kind_id].spec
         n_ints = r.u8("layer param count")
-        vals = struct.unpack(f"<{n_ints}i", r.take(4 * n_ints, "layer params"))
-        specs.append(_spec_from_ints(kind_id, list(vals)))
+        if n_ints != len(fields(cls)):
+            raise CheckpointError(f"layer kind {cls.__name__} takes {len(fields(cls))} ints, got {n_ints}")
+        specs.append(cls(*struct.unpack(f"<{n_ints}i", r.take(4 * n_ints, "layer params"))))
     try:
         _output_shape(specs, input_shape)
     except ConfigError as e:
         raise CheckpointError(f"bad layer table: {e}") from None
     # each stored value takes at least 4 bytes; check before allocating
-    values = sum(_param_count(spec) for spec in specs)
+    values = sum(spec.param_count() for spec in specs)
     if 4 * values > len(data) - r.off:
         raise CheckpointError(
             f"layer table implies {values} parameter values, more than the "
@@ -934,43 +948,41 @@ def checkpoint_load(path, dtype=np.float32):
         )
     model = Model(specs, input_shape, seed=0, dtype=dtype)
     n_params = r.u32("parameter count")
-    expected = len(model.parameters())
-    if n_params != expected:
-        raise CheckpointError(f"parameter count {n_params} does not match layer table ({expected})")
-    arrays = [_read_tensor(r, f"parameter {i}") for i in range(n_params)]
-    model.set_parameters(arrays)
-    present = r.u8("optimizer presence flag")
+    params = [p for _, p in model.parameters()]
+    if n_params != len(params):
+        raise CheckpointError(f"parameter count {n_params} does not match layer table ({len(params)})")
+    model.set_parameters([_read_tensor(r, f"parameter {i}") for i in range(n_params)])
     optimizer = None
-    if present:
+    if r.u8("optimizer presence flag"):
         opt_id = r.u8("optimizer kind")
+        if opt_id not in _OPTIMIZERS:
+            raise CheckpointError(f"unknown optimizer id {opt_id} at offset {r.off - 1}")
+        cls = _OPTIMIZERS[opt_id]
         n_hp = r.u8("hyperparameter count")
+        if n_hp != len(cls.hyperparameters):
+            raise CheckpointError(
+                f"optimizer {cls.kind} takes {len(cls.hyperparameters)} hyperparameters, got {n_hp}"
+            )
         hp = struct.unpack(f"<{n_hp}d", r.take(8 * n_hp, "hyperparameters"))
+        try:
+            optimizer = cls(*hp)
+        except ConfigError as e:
+            raise CheckpointError(f"bad optimizer hyperparameters {hp}: {e}") from None
         n_tensors = r.u32("optimizer tensor count")
-        tensors = [_read_tensor(r, f"optimizer tensor {i}") for i in range(n_tensors)]
-        step = r.u64("step counter")
-        if opt_id == _OPT_IDS["sgd"]:
-            optimizer = SGD(hp[0], hp[1])
-            if tensors:
-                optimizer.state = tensors
-        elif opt_id == _OPT_IDS["adam"]:
-            optimizer = Adam(hp[0], hp[1], hp[2], hp[3])
-            if tensors:
-                optimizer.state = [(tensors[i], tensors[i + 1]) for i in range(0, len(tensors), 2)]
-        else:
-            raise CheckpointError(f"unknown optimizer id {opt_id}")
-        optimizer.t = step
-        params = [p for _, p in model.parameters()]
-        per_param = 2 if opt_id == _OPT_IDS["adam"] else 1
-        if len(tensors) not in (0, len(params) * per_param):
+        k = cls.state_per_param
+        if n_tensors not in (0, k * len(params)):
             raise CheckpointError("optimizer state tensor count mismatch")
-        ref = [p for p in params for _ in range(per_param)]
-        for t, p in zip(tensors, ref):
-            if t.shape != p.shape:
+        tensors = [_read_tensor(r, f"optimizer tensor {i}") for i in range(n_tensors)]
+        for i, t in enumerate(tensors):
+            if t.shape != params[i // k].shape:
                 raise CheckpointError(
-                    f"optimizer state shape {t.shape} does not mirror parameter {p.shape}"
+                    f"optimizer state shape {t.shape} does not mirror parameter {params[i // k].shape}"
                 )
-    else:
-        _ = r.u64("step counter")
+        if tensors:
+            optimizer.state = [tuple(tensors[i : i + k]) for i in range(0, n_tensors, k)]
+    step = r.u64("step counter")
+    if optimizer is not None:
+        optimizer.t = step
     if r.off != len(data):
         raise CheckpointError(
             f"{len(data) - r.off} trailing bytes after the step counter at offset {r.off}"

@@ -1,3 +1,5 @@
+import dataclasses
+import os
 import struct
 import tracemalloc
 
@@ -185,3 +187,76 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
         nn.checkpoint_save(m, opt, path)
     assert path.read_bytes() == before
     assert nn.checkpoint_load(path)[1].t == 0
+
+
+# ---------------------------------------------------------------------------
+# the layer-kind table and strict decoding
+# ---------------------------------------------------------------------------
+
+
+def test_layer_kind_table_is_pinned():
+    # tokens are the config grammar and kind ids the checkpoint layout
+    assert [(k.token, k.spec.__name__, k.layer.__name__, k.kind_id) for k in nn.LAYER_KINDS] == [
+        ("conv", "Conv2dSpec", "Conv2d", 1),
+        ("dense", "DenseSpec", "Dense", 2),
+        ("relu", "ReLUSpec", "ReLU", 3),
+        ("pool", "MaxPool2dSpec", "MaxPool2d", 4),
+        ("flatten", "FlattenSpec", "Flatten", 5),
+    ]
+
+
+def test_every_layer_kind_round_trips(tmp_path):
+    # token -> spec -> checkpoint ints -> spec, and Model -> save -> load
+    text = "conv:2:3:2:1,relu,pool:2,flatten,dense:3"
+    specs = nn.parse_layers(text, 8)
+    assert {type(s) for s in specs} == {k.spec for k in nn.LAYER_KINDS}
+    tokens = []
+    for spec in specs:
+        kind = next(k for k in nn.LAYER_KINDS if k.spec is type(spec))
+        ints = dataclasses.astuple(spec)
+        assert kind.spec(*ints) == spec
+        # the leading in_channels/in_features comes from the shape, not the token
+        token_ints = ints[1:] if spec.infer_input else ints
+        tokens.append(":".join([kind.token, *map(str, token_ints)]))
+    assert ",".join(tokens) == text
+    m = nn.Model(specs, (1, 8, 8), seed=9)
+    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+    nn.checkpoint_save(m, None, p1)
+    m2, _ = nn.checkpoint_load(p1)
+    assert m2.specs == specs and m2.input_shape == (1, 8, 8)
+    nn.checkpoint_save(m2, None, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("make_opt", [lambda: nn.SGD(0.01, momentum=0.9), lambda: nn.Adam(1e-3)],
+                         ids=["sgd", "adam"])
+def test_every_corrupt_byte_loads_or_raises_checkpoint_error(tmp_path, make_opt):
+    # one of each layer kind, and one optimizer step so the state is saved
+    specs = nn.parse_layers("conv:1:3:1:1,relu,pool:2,flatten,dense:2", 2)
+    m, opt = nn.Model(specs, (1, 2, 2), seed=0), make_opt()
+    x = substream(0, "sweep").standard_normal((2, 1, 2, 2)).astype(np.float32)
+    _, g = nn.softmax_cross_entropy(m.forward(x), [0, 1])
+    m.backward(g)
+    opt.step([p for _, p in m.parameters()], m.gradients())
+    path = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(m, opt, path)
+    good = path.read_bytes()
+    escaped = []
+    fd = os.open(path, os.O_WRONLY)  # one byte rewritten in place per case
+    try:
+        for offset in range(len(good)):
+            for value in (0, 1, 2, 3, 0x7F, 0xFF):
+                if good[offset] == value:
+                    continue
+                os.pwrite(fd, bytes([value]), offset)
+                try:
+                    nn.checkpoint_load(path)
+                except CheckpointError:
+                    pass
+                except Exception as e:  # noqa: BLE001 - any other type is the failure
+                    escaped.append((offset, value, f"{type(e).__name__}: {e}"))
+            os.pwrite(fd, good[offset : offset + 1], offset)
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == good
+    assert escaped == []

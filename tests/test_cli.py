@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -6,15 +8,18 @@ import sys
 import numpy as np
 import pytest
 
-from daylearn import config, data, nn, protocol, schedule
+from daylearn import config, data, metrics, nn, protocol, schedule
 from daylearn.cli import dispatch
 from daylearn.config import (
     load_effective_config,
     parse_layers,
+    to_detector_config,
     to_experiment_config,
     write_effective_config,
 )
 from daylearn.errors import ConfigError
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +95,48 @@ def test_parse_layers_infers_shapes():
 def test_parse_layers_bad_token():
     with pytest.raises(ConfigError, match="token"):
         parse_layers("conv:16:3,relu,swish", 32)
+    # a field more than the spec has, or none where it needs one
+    for text in ("conv:4:3:1:1:9", "relu:5", "pool:2:7", "flatten,dense:2:9", "relu:", "conv:4"):
+        with pytest.raises(ConfigError, match="malformed layer token"):
+            parse_layers(text, 8)
+
+
+def test_parse_layers_checks_each_spec():
+    # each spec is checked as it is parsed, before a zero kernel or stride divides
+    for text, msg in [("pool:0", "pool kernel must be >=1"),
+                      ("conv:4:3:0", "conv kernel/stride must be >=1"),
+                      ("flatten,dense:0", "dense feature counts must be >=1")]:
+        with pytest.raises(ConfigError, match=msg):
+            parse_layers(text, 8)
+
+
+def test_default_effective_config_bytes_are_pinned(tmp_path):
+    # what every run directory's effective_config.cfg holds for the defaults
+    path = tmp_path / "effective_config.cfg"
+    write_effective_config(load_effective_config(env={}), path)
+    assert path.read_bytes() == (GOLDEN / "effective_config.cfg").read_bytes()
+
+
+def test_every_config_key_is_a_dataclass_field():
+    assert set(config.SCHEMA) == set(config.FIELDS) | {"model.layers"}
+    for key, (cls, name) in config.FIELDS.items():
+        field = {f.name: f for f in dataclasses.fields(cls)}[name]
+        parser, default = config.SCHEMA[key]
+        assert default == field.default, key
+        assert parser(str(default)) == default, key
+    assert config.SCHEMA["model.layers"] == (str, config.DEFAULT_LAYERS)
+
+
+def test_config_keys_build_the_dataclasses():
+    eff = load_effective_config(env={}, overrides=[
+        "optimizer.momentum=0.5", "data.hflip=0.25", "data.norm_std=0.5",
+        "schedule.allow_short_final=yes", "detectors.var_tol=0.125"])
+    cfg = to_experiment_config(eff)
+    assert cfg.momentum == 0.5 and cfg.allow_short_final is True
+    assert cfg.augment == data.AugmentConfig(hflip_probability=0.25)
+    assert cfg.norm == data.NormalizationSpec(std=0.5)
+    assert cfg.layers == parse_layers(config.DEFAULT_LAYERS, 32)
+    assert to_detector_config(eff) == metrics.DetectorConfig(variance_tolerance=0.125)
 
 
 def test_to_experiment_config_seed_key():
@@ -412,6 +459,28 @@ def test_exit_code_checkpoint_trailing_bytes(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("CHECKPOINT_ERROR: 26 trailing bytes after the step counter")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("offset,value", [
+    (1, 2),     # the optimizer kind: Adam, which has 4
+    (2, 1),     # the hyperparameter count: SGD has 2
+    (10, 0xFF), # the sign and exponent byte of lr: negative
+    (18, 0xFF), # the sign and exponent byte of momentum: negative
+], ids=["kind", "hp_count", "lr", "momentum"])
+def test_exit_code_corrupt_optimizer_block(tmp_path, capsys, offset, value):
+    model = nn.Model([nn.FlattenSpec(), nn.DenseSpec(4, 2)], (1, 2, 2))
+    ckpt = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(model, nn.SGD(0.01, momentum=0.9), ckpt)
+    data = bytearray(ckpt.read_bytes())
+    # presence flag, kind id, hyperparameter count, lr, momentum
+    start = data.index(struct.pack("<BBB2d", 1, nn.SGD.kind_id, 2, 0.01, 0.9))
+    data[start + offset] = value
+    ckpt.write_bytes(bytes(data))
+    rc = dispatch(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(tmp_path / "m.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CHECKPOINT_ERROR:") and "hyperparameters" in err
     assert "Traceback" not in err
 
 
