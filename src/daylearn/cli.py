@@ -26,14 +26,12 @@ from .data import (
     gen_synthetic,
     ingest_directory,
     manifest_read,
-    normalize,
-    pgm_read,
     split_manifest,
 )
 from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
 from .protocol import evaluate as evaluate_model
-from .protocol import run_experiment
+from .protocol import load_split, run_experiment
 from .rng import substream
 
 _LOCK_NAME = "lock"
@@ -156,7 +154,7 @@ def _lock_owner_alive(path):
         with open(path, "r", encoding="utf-8") as f:
             pid = int(f.read())
     except (OSError, ValueError):
-        return True  # a lock without a readable pid may be a run starting up
+        return True  # no pid to test, e.g. a lock made by hand: refuse rather than guess
     if pid < 1:  # 0 and negative pids would address process groups
         return True
     try:
@@ -171,20 +169,28 @@ def _lock_owner_alive(path):
 def _acquire_lock(out):
     """Create `out`/lock holding this process's pid and return its path.
 
-    A lock left by a run that was killed (its pid is gone) is taken over;
-    a lock whose owner is alive, or that holds no pid, refuses the run.
+    The pid is written to a temp file first, which is then hard-linked to
+    the lock name; the link fails if the lock exists. So the lock holds
+    its pid from the moment it appears, and a crash can leave at most a
+    stray temp file, never a lock without a pid. A lock left by a run
+    that was killed (its pid is gone) is taken over; a lock whose owner
+    is alive, or that holds no pid, refuses the run.
     """
     path = os.path.join(out, _LOCK_NAME)
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        if _lock_owner_alive(path):
-            raise UsageError(f"run directory {out} is locked by another invocation") from None
-        os.remove(path)
-        return _acquire_lock(out)
-    with os.fdopen(fd, "w", encoding="utf-8") as f:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
         f.write(f"{os.getpid()}\n")
-    return path
+    try:
+        while True:
+            try:
+                os.link(tmp, path)
+                return path
+            except FileExistsError:
+                if _lock_owner_alive(path):
+                    raise UsageError(f"run directory {out} is locked by another invocation") from None
+                os.remove(path)
+    finally:
+        os.remove(tmp)
 
 
 def _cmd_evaluate(args):
@@ -194,13 +200,9 @@ def _cmd_evaluate(args):
     std = args.norm_std if args.norm_std is not None else NormalizationSpec().std
     spec = NormalizationSpec(mean, std)
     root = args.data_root or os.path.dirname(os.path.abspath(args.manifest))
-    labels = manifest.labels_as_indices()
-    items = [
-        (normalize(pgm_read(os.path.join(root, rel)), spec), int(labels[i]))
-        for i, (rel, _) in enumerate(manifest.entries)
-    ]
-    loss, acc = evaluate_model(model, items, args.loss, args.batch_size)
-    print(f"loss={loss:.6g} accuracy={acc:.6g} n={len(items)}")
+    x, labels = load_split(root, manifest, spec)
+    loss, acc = evaluate_model(model, x, labels, args.loss, args.batch_size)
+    print(f"loss={loss:.6g} accuracy={acc:.6g} n={len(x)}")
     return 0
 
 

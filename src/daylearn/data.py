@@ -128,8 +128,9 @@ class Manifest:
     def __post_init__(self):
         if not self.class_names and self.entries:
             self.class_names = sorted({label for _, label in self.entries})
+        known = set(self.class_names)
         for path, label in self.entries:
-            if label not in self.class_names:
+            if label not in known:
                 raise DataError(f"label {label!r} not in class set {self.class_names}")
         paths = [p for p, _ in self.entries]
         if len(set(paths)) != len(paths):
@@ -173,19 +174,22 @@ def manifest_read(path) -> Manifest:
     return Manifest(entries, class_names)
 
 
+def _scan(path, keep):
+    """Sorted names of the entries of `path` that `keep(entry)` accepts.
+    DirEntry.is_dir/is_file follow symlinks as os.path.isdir/isfile do,
+    but need no stat call per entry on most file systems."""
+    with os.scandir(path) as it:
+        return sorted(e.name for e in it if keep(e))
+
+
 def ingest_directory(root) -> Manifest:
     """One subdirectory per class; entries sorted by (class, filename)."""
-    classes = sorted(
-        d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
-    )
+    classes = _scan(root, os.DirEntry.is_dir)
     if not classes:
         raise DataError(f"{root}: no class subdirectories found")
     entries = []
     for cls in classes:
-        files = sorted(
-            f for f in os.listdir(os.path.join(root, cls))
-            if os.path.isfile(os.path.join(root, cls, f))
-        )
+        files = _scan(os.path.join(root, cls), os.DirEntry.is_file)
         if not files:
             raise DataError(f"{root}: class directory {cls!r} is empty")
         entries.extend((f"{cls}/{f}", cls) for f in files)
@@ -202,9 +206,11 @@ def split_manifest(manifest: Manifest, fractions=(0.70, 0.10, 0.20), seed=0, out
     if len(manifest) == 0:
         raise ConfigError("cannot split an empty manifest")
     rng = substream(seed, "split")
+    by_class = {cls: [] for cls in manifest.class_names}
+    for i, (_, label) in enumerate(manifest.entries):
+        by_class[label].append(i)
     buckets = ([], [], [])
-    for cls in manifest.class_names:
-        idx = [i for i, (_, label) in enumerate(manifest.entries) if label == cls]
+    for idx in by_class.values():
         perm = rng.permutation(len(idx))
         idx = [idx[j] for j in perm]
         n = len(idx)
@@ -283,7 +289,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.hflip_probability <= 1.0:
             raise ConfigError("hflip_probability must be in [0,1]")
-        if self.rotation_degrees < 0 or self.translate_fraction < 0 or self.jitter_fraction < 0:
+        magnitudes = (self.rotation_degrees, self.translate_fraction, self.jitter_fraction)
+        if not all(m >= 0 for m in magnitudes):  # also rejects NaN
             raise ConfigError("augmentation magnitudes must be >= 0")
 
 
@@ -381,7 +388,7 @@ class NormalizationSpec:
     std: float = GRAY_STD
 
     def __post_init__(self):
-        if self.std <= 0:
+        if not self.std > 0:
             raise ConfigError("normalization std must be > 0")
 
 
@@ -394,6 +401,19 @@ def normalize(image, spec: NormalizationSpec = NormalizationSpec(), dtype=np.flo
     t -= spec.mean
     t /= spec.std
     return t[..., None, :, :].astype(dtype)
+
+
+def normalize_stack(pixels, spec: NormalizationSpec = NormalizationSpec(), dtype=np.float32):
+    """`normalize` of an (n, H, W) uint8 stack as one contiguous
+    [n, 1, H, W] array, byte-equal to it: each pixel indexes a table of
+    `normalize` over the 256 values. The lookup runs 16 images at a time,
+    because `np.take` first casts its indices to intp; so no temporary the
+    size of the stack is made."""
+    table = normalize(np.arange(256, dtype=np.uint8)[None], spec, dtype).reshape(256)
+    out = np.empty((len(pixels), 1) + pixels.shape[1:], dtype=table.dtype)
+    for i in range(0, len(pixels), 16):
+        np.take(table, pixels[i : i + 16], out=out[i : i + 16, 0])
+    return out
 
 
 # ---------------------------------------------------------------------------

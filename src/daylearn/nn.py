@@ -236,13 +236,19 @@ def _window(ki, kj, ho, wo, stride):
     )
 
 
+def _he_normal(rng, shape, fan_in, dtype):
+    """He-normal initial weights drawn from `rng`; zeros when `rng` is
+    None, for a model whose parameters a checkpoint fills."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+
+
 class Conv2d(_Layer):
     def __init__(self, spec: Conv2dSpec, rng, dtype):
         self.spec = spec
         k, ci, co = spec.kernel, spec.in_channels, spec.out_channels
-        fan_in = ci * k * k
-        w = rng.standard_normal((co, ci, k, k)) * np.sqrt(2.0 / fan_in)
-        self.w = w.astype(dtype)
+        self.w = _he_normal(rng, (co, ci, k, k), ci * k * k, dtype)
         self.b = np.zeros(co, dtype=dtype)
         self.params = [self.w, self.b]
         self.param_names = ["w", "b"]
@@ -334,10 +340,7 @@ class Conv2d(_Layer):
 class Dense(_Layer):
     def __init__(self, spec: DenseSpec, rng, dtype):
         self.spec = spec
-        w = rng.standard_normal((spec.out_features, spec.in_features)) * np.sqrt(
-            2.0 / spec.in_features
-        )
-        self.w = w.astype(dtype)
+        self.w = _he_normal(rng, (spec.out_features, spec.in_features), spec.in_features, dtype)
         self.b = np.zeros(spec.out_features, dtype=dtype)
         self.params = [self.w, self.b]
         self.param_names = ["w", "b"]
@@ -528,13 +531,25 @@ class Model:
     """
 
     def __init__(self, specs, input_shape, seed=0, dtype=np.float32):
+        self.seed = int(seed)
+        self._build(specs, input_shape, dtype, lambda i: substream(self.seed, "init", i))
+
+    @classmethod
+    def _unfilled(cls, specs, input_shape, dtype):
+        """A model with zero parameters for a checkpoint to fill. It draws
+        no init streams, since the checkpoint overwrites every value."""
+        model = cls.__new__(cls)
+        model.seed = 0
+        model._build(specs, input_shape, dtype, lambda i: None)
+        return model
+
+    def _build(self, specs, input_shape, dtype, init_rng):
         self.specs = list(specs)
         self.input_shape = tuple(int(d) for d in input_shape)
-        self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.output_shape = _output_shape(self.specs, self.input_shape)
         self.layers = [
-            _BY_SPEC[type(spec)].layer(spec, substream(self.seed, "init", i), self.dtype)
+            _BY_SPEC[type(spec)].layer(spec, init_rng(i), self.dtype)
             for i, spec in enumerate(self.specs)
         ]
         self._first_trained = next((i for i, l in enumerate(self.layers) if l.params), -1)
@@ -693,7 +708,7 @@ class _Optimizer:
     order) and its state tensors."""
 
     def __init__(self, lr):
-        if lr <= 0:
+        if not lr > 0:  # also rejects NaN
             raise ConfigError("learning_rate must be > 0")
         self.lr = float(lr)
         self.t = 0
@@ -717,7 +732,7 @@ class SGD(_Optimizer):
 
     def __init__(self, lr, momentum=0.0):
         super().__init__(lr)
-        if momentum < 0:
+        if not momentum >= 0:
             raise ConfigError("momentum must be >= 0")
         self.momentum = float(momentum)
 
@@ -741,7 +756,7 @@ class Adam(_Optimizer):
         super().__init__(lr)
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ConfigError("betas must be in [0,1)")
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ConfigError("epsilon must be > 0")
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -946,7 +961,7 @@ def checkpoint_load(path, dtype=np.float32):
             f"layer table implies {values} parameter values, more than the "
             f"{len(data) - r.off} bytes after offset {r.off} can hold"
         )
-    model = Model(specs, input_shape, seed=0, dtype=dtype)
+    model = Model._unfilled(specs, input_shape, dtype)
     n_params = r.u32("parameter count")
     params = [p for _, p in model.parameters()]
     if n_params != len(params):

@@ -26,6 +26,7 @@ from .data import (
     augment_batch as augment_image,  # the name the benchmark tracer wraps
     ingest_directory,
     normalize,
+    normalize_stack,
     pgm_read,
     replacing_open,
     split_manifest,
@@ -74,7 +75,7 @@ class ExperimentConfig:
             raise ConfigError("batch_size, total_days and n_per_day must be >= 1")
         if self.epochs_per_day < 1 or self.pretrain_epochs < 1:
             raise ConfigError("epoch counts must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # also rejects NaN
             raise ConfigError("learning_rate must be > 0")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
@@ -90,9 +91,6 @@ class ExperimentConfig:
         del flat["data_root"]
         text = json.dumps(flat, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def run_id(self):
-        return self.config_hash()[:8]
 
 
 def _flatten(value, key, out):
@@ -125,7 +123,8 @@ def build_model(config: ExperimentConfig, dtype=np.float32):
 
 
 class DatasetCache:
-    """Loads PGM files once; serves raw images and normalized tensors."""
+    """Loads PGM files once; serves raw images, normalized tensors and
+    normalized stacks."""
 
     def __init__(self, root, norm: NormalizationSpec):
         self.root = root
@@ -143,28 +142,42 @@ class DatasetCache:
             self._tensors[rel_path] = normalize(self.image(rel_path), self.norm)
         return self._tensors[rel_path]
 
+    def stack(self, rel_paths):
+        """The images as one normalized [n, 1, H, W] array."""
+        return normalize_stack(np.stack([self.image(rel).pixels for rel in rel_paths]), self.norm)
+
+
+def load_split(root, manifest, norm):
+    """An evaluation split as (x, labels): each image decoded once into a
+    uint8 stack, normalized into one [N, 1, H, W] float32 array. Nothing
+    is cached, so the images are kept once, as `x`."""
+    if not manifest.entries:
+        raise UsageError("cannot evaluate on an empty dataset")
+    pixels = np.stack([pgm_read(os.path.join(root, rel)).pixels for rel, _ in manifest.entries])
+    return normalize_stack(pixels, norm), manifest.labels_as_indices()
+
 
 def _batches(n, batch_size):
     for start in range(0, n, batch_size):
         yield range(start, min(start + batch_size, n))
 
 
-def evaluate(model, items, loss_kind, batch_size):
-    """(mean loss, accuracy) over (tensor, label) pairs; no augmentation."""
-    if not items:
+def evaluate(model, x, labels, loss_kind, batch_size):
+    """(mean loss, accuracy) over an [N, 1, H, W] array and its N integer
+    labels, in batches that are views of `x`; no augmentation."""
+    n = len(x)
+    if n == 0:
         raise UsageError("cannot evaluate on an empty dataset")
     total_loss = 0.0
     correct = 0
-    labels = np.array([label for _, label in items], dtype=np.int64)
-    for batch in _batches(len(items), batch_size):
-        x = np.stack([items[i][0] for i in batch])
-        y = labels[list(batch)]
-        logits, pred = nn.predict_batch(model, x)
+    for batch in _batches(n, batch_size):
+        y = labels[batch.start : batch.stop]
+        logits, pred = nn.predict_batch(model, x[batch.start : batch.stop])
         targets = nn.targets_for(loss_kind, y, model.num_classes, dtype=model.dtype)
         loss, _ = nn.loss_forward_backward(loss_kind, logits, targets)
         total_loss += loss * len(batch)
         correct += int((pred == y).sum())
-    return total_loss / len(items), correct / len(items)
+    return total_loss / n, correct / n
 
 
 def _train_epoch(model, optimizer, config, cache, items, day, epoch):
@@ -198,7 +211,7 @@ def run_day(model, optimizer, config, cache, train_items, val_items, day):
 
     train_items: list of (rel_path, label); may be empty (strategy A
     day 1: zero steps, validation still runs).
-    val_items: list of (tensor, label).
+    val_items: (x, labels) as `evaluate` takes them.
     Returns (records, steps).
     """
     records = []
@@ -210,7 +223,7 @@ def run_day(model, optimizer, config, cache, train_items, val_items, day):
                 model, optimizer, config, cache, train_items, day, epoch
             )
             total_steps += steps
-        val_loss, val_acc = evaluate(model, val_items, config.loss_kind, config.batch_size)
+        val_loss, val_acc = evaluate(model, *val_items, config.loss_kind, config.batch_size)
         records.append(
             MetricsRecord(
                 day=day,
@@ -226,7 +239,8 @@ def run_day(model, optimizer, config, cache, train_items, val_items, day):
 
 
 def pretrain(model, optimizer, config, cache, subset_items, val_items):
-    """Epoch-capped pre-training with early stop at the target accuracy."""
+    """Epoch-capped pre-training with early stop at the target accuracy.
+    val_items: (x, labels) as `evaluate` takes them."""
     if not subset_items:
         raise ConfigError("pre-training subset is empty")
     records = []
@@ -234,7 +248,7 @@ def pretrain(model, optimizer, config, cache, subset_items, val_items):
         train_loss, train_acc, _ = _train_epoch(
             model, optimizer, config, cache, subset_items, 0, epoch
         )
-        val_loss, val_acc = evaluate(model, val_items, config.loss_kind, config.batch_size)
+        val_loss, val_acc = evaluate(model, *val_items, config.loss_kind, config.batch_size)
         records.append(
             MetricsRecord(
                 day=0,
@@ -309,11 +323,6 @@ def _split_and_manifests(config, out_dir):
     return train_m, val_m, test_m
 
 
-def _eval_items(cache, manifest):
-    labels = manifest.labels_as_indices()
-    return [(cache.tensor(rel), int(labels[i])) for i, (rel, _) in enumerate(manifest.entries)]
-
-
 def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_day=None):
     """Split -> optional pretrain -> day loop -> per-day test evaluation.
 
@@ -326,7 +335,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         raise ConfigError("config.data_root is required")
     t0 = time.time()
     cfg_hash = config.config_hash()
-    run_id = config.run_id()
+    run_id = cfg_hash[:8]
 
     train_m, val_m, test_m = _split_and_manifests(config, out_dir)
     cache = DatasetCache(config.data_root, config.norm)
@@ -359,8 +368,11 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         # (rel_path, label) per train-manifest index
         return [(train_m.entries[i][0], int(labels_all[i])) for i in indices]
 
-    val_items = _eval_items(cache, val_m)
-    test_items = _eval_items(cache, test_m)
+    # the global validation split is read only by pre-training on a fresh
+    # run and by the global strategy; a run that needs neither never loads it
+    reads_val = config.strategy == GLOBAL_HOLDOUT or (subset_idx and not resume)
+    val_split = load_split(config.data_root, val_m, config.norm) if reads_val else None
+    test_split = load_split(config.data_root, test_m, config.norm)
 
     csv = _CsvWriter(os.path.join(out_dir, _METRICS_FILE), run_id)
     log = RunLog(run_id)
@@ -400,7 +412,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         csv.start([])
         if subset_idx:
             pre_records = pretrain(
-                model, optimizer, config, cache, day_items(subset_idx), val_items
+                model, optimizer, config, cache, day_items(subset_idx), val_split
             )
             log.records.extend(pre_records)
             csv.append(pre_records)
@@ -411,14 +423,13 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         train_idx, val_idx = day_split(config.strategy, day, prev_batch, curr_batch, config.seed)
         train_items = day_items(rest_idx[i] for i in train_idx)
         if val_idx is None:
-            day_val_items = val_items
+            day_val = val_split
         else:
-            day_val_items = [
-                (cache.tensor(rel), label) for rel, label in day_items(rest_idx[i] for i in val_idx)
-            ]
-        records, steps = run_day(model, optimizer, config, cache, train_items, day_val_items, day)
+            rows = [rest_idx[i] for i in val_idx]
+            day_val = (cache.stack(train_m.entries[i][0] for i in rows), labels_all[rows])
+        records, steps = run_day(model, optimizer, config, cache, train_items, day_val, day)
         total_steps += steps
-        test_loss, test_acc = evaluate(model, test_items, config.loss_kind, config.batch_size)
+        test_loss, test_acc = evaluate(model, *test_split, config.loss_kind, config.batch_size)
         records[-1].test_loss = test_loss
         records[-1].test_acc = test_acc
         log.records.extend(records)
@@ -431,20 +442,20 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
             nn.checkpoint_save(model, optimizer, os.path.join(out_dir, ckpt_name))
             _write_state(out_dir, cfg_hash, day, ckpt_name)
         if stopping:
-            _write_meta(out_dir, config, t0, total_steps, interrupted_at=day)
+            _write_meta(out_dir, config, run_id, cfg_hash, t0, total_steps, interrupted_at=day)
             return log
 
     nn.checkpoint_save(model, optimizer, os.path.join(out_dir, _FINAL_CKPT))
     _write_state(out_dir, cfg_hash, len(plan), _FINAL_CKPT)
-    _write_meta(out_dir, config, t0, total_steps)
+    _write_meta(out_dir, config, run_id, cfg_hash, t0, total_steps)
     return log
 
 
-def _write_meta(out_dir, config, t0, total_steps, interrupted_at=None):
+def _write_meta(out_dir, config, run_id, cfg_hash, t0, total_steps, interrupted_at=None):
     # wall-clock lives only here; metrics/checkpoints stay byte-deterministic
     lines = [
-        f"run_id={config.run_id()}",
-        f"config_hash={config.config_hash()}",
+        f"run_id={run_id}",
+        f"config_hash={cfg_hash}",
         f"seed={config.seed}",
         f"total_optimizer_steps={total_steps}",
         f"wall_clock_seconds={time.time() - t0:.3f}",

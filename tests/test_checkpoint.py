@@ -69,6 +69,21 @@ def test_double_round_trip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_load_draws_no_init_streams(tmp_path, monkeypatch):
+    m = nn.Model(make_specs(), (1, 8, 8), seed=4)
+    opt = nn.Adam(1e-3)
+    train_steps(m, opt, 2)
+    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+    nn.checkpoint_save(m, opt, p1)
+    calls = []
+    monkeypatch.setattr(nn, "substream", lambda *args: calls.append(args))
+    m2, opt2 = nn.checkpoint_load(p1)
+    assert calls == []  # every initial weight would be overwritten by the file's
+    assert m2.seed == 0
+    nn.checkpoint_save(m2, opt2, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_truncated_file_rejected(tmp_path):
     m = nn.Model(make_specs(), (1, 8, 8), seed=4)
     path = tmp_path / "full.bin"

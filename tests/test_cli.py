@@ -270,6 +270,30 @@ def test_run_refuses_lock_of_live_process(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("killed", ["before_link", "after_link"])
+def test_run_after_a_crash_while_taking_the_lock(tmp_path, killed):
+    # a process killed while taking the lock leaves either no lock or a lock
+    # naming its (now dead) pid; never a lock without a pid
+    out = tmp_path / "r"
+    out.mkdir()
+    link = "os._exit(9)" if killed == "before_link" else "(real(*a), os._exit(9))"
+    code = ("import os, sys\n"
+            "from daylearn import cli\n"
+            "real = os.link\n"
+            f"os.link = lambda *a: {link}\n"
+            "cli._acquire_lock(sys.argv[1])\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(data.__file__)))
+    child = subprocess.run([sys.executable, "-c", code, str(out)], env=env, timeout=60)
+    assert child.returncode == 9
+    lock = out / "lock"
+    if killed == "before_link":
+        assert not lock.exists()
+    else:
+        assert int(lock.read_text()) > 0  # the dead child's pid
+    assert dispatch(_small_run_argv(tmp_path, out)) == 0
+    assert (out / "ckpt_final.bin").exists() and not lock.exists()
+
+
 class _Crash(Exception):
     pass
 
@@ -482,6 +506,35 @@ def test_exit_code_corrupt_optimizer_block(tmp_path, capsys, offset, value):
     err = capsys.readouterr().err
     assert err.startswith("CHECKPOINT_ERROR:") and "hyperparameters" in err
     assert "Traceback" not in err
+
+
+def test_exit_code_checkpoint_nan_learning_rate(tmp_path, capsys):
+    model = nn.Model([nn.FlattenSpec(), nn.DenseSpec(4, 2)], (1, 2, 2))
+    ckpt = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(model, nn.SGD(0.01, momentum=0.9), ckpt)
+    hp = struct.pack("<2d", 0.01, 0.9)
+    ckpt.write_bytes(ckpt.read_bytes().replace(hp, struct.pack("<2d", float("nan"), 0.9)))
+    rc = dispatch(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(tmp_path / "m.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("CHECKPOINT_ERROR: bad optimizer hyperparameters (nan, 0.9)")
+
+
+@pytest.mark.parametrize("override", [
+    "optimizer.lr=nan",
+    "optimizer.epsilon=nan",
+    "optimizer.momentum=nan",
+    "data.norm_std=nan",
+    "data.rotate_degrees=nan",
+])
+def test_nan_hyperparameter_override_is_a_config_error(tmp_path, capsys, override):
+    out = tmp_path / "r"
+    argv = _small_run_argv(tmp_path, out) + [f"--{override}"]
+    if override.startswith("optimizer.momentum"):
+        argv.append("--optimizer.kind=sgd")  # only SGD reads momentum
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith("CONFIG_ERROR:")
+    assert not (out / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("state", ["", "config_hash=abc\nlast_day=two\ncheckpoint=x.bin\n", "garbage\n"],

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -87,6 +88,38 @@ def test_ingest_single_class_and_empty_class(tmp_path):
     assert len(data.ingest_directory(tmp_path).class_names) == 1
     (tmp_path / "empty").mkdir()
     with pytest.raises(DataError, match="empty"):
+        data.ingest_directory(tmp_path)
+
+
+def _ingest_listdir(root):
+    """The listdir/isdir/isfile scan that ingest_directory's scandir replaced."""
+    classes = sorted(d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d)))
+    entries = []
+    for cls in classes:
+        files = sorted(
+            f for f in os.listdir(os.path.join(root, cls)) if os.path.isfile(os.path.join(root, cls, f))
+        )
+        entries.extend((f"{cls}/{f}", cls) for f in files)
+    return data.Manifest(entries, classes)
+
+
+def test_ingest_scandir_matches_listdir_scan(tmp_path):
+    _tree(tmp_path, {"a": 2, "b": 3, "c": 1})
+    (tmp_path / "notes.txt").write_text("a file beside the class directories\n")
+    (tmp_path / "a" / "linked.pgm").symlink_to(tmp_path / "b" / "0.pgm")  # followed: listed
+    (tmp_path / "a" / "broken.pgm").symlink_to(tmp_path / "missing.pgm")  # dangling: skipped
+    (tmp_path / "b" / "nested").mkdir()  # a directory inside a class: skipped
+    (tmp_path / "d").symlink_to(tmp_path / "c", target_is_directory=True)  # a linked class
+    got = data.ingest_directory(tmp_path)
+    assert got == _ingest_listdir(tmp_path)
+    assert got.class_names == ["a", "b", "c", "d"]
+    assert [p for p, _ in got.entries] == ["a/0.pgm", "a/1.pgm", "a/linked.pgm", "b/0.pgm",
+                                           "b/1.pgm", "b/2.pgm", "c/0.pgm", "d/0.pgm"]
+    # a class directory holding only a dangling link and a directory is empty
+    (tmp_path / "e").mkdir()
+    (tmp_path / "e" / "broken.pgm").symlink_to(tmp_path / "missing.pgm")
+    (tmp_path / "e" / "nested").mkdir()
+    with pytest.raises(DataError, match="class directory 'e' is empty"):
         data.ingest_directory(tmp_path)
 
 
@@ -309,6 +342,18 @@ def test_normalize_stack_byte_equal_per_image():
         assert got.shape == (5, 1, 7, 9) and got.dtype == dtype
         ref = np.stack([data.normalize(data.Image(px), spec, dtype=dtype) for px in stack])
         assert got.tobytes() == ref.tobytes()
+
+
+def test_normalize_table_byte_equal_per_image_for_every_value():
+    # all 256 values, then random images, across several 16-image lookup chunks
+    values = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+    stack = np.concatenate([values, substream(9, "table").integers(0, 256, (30, 8, 8), dtype=np.uint8)])
+    for spec in (data.NormalizationSpec(), data.NormalizationSpec(0.3, 0.7), data.NormalizationSpec(-1.5, 3e-3)):
+        for dtype in (np.float32, np.float64):
+            got = data.normalize_stack(stack, spec, dtype=dtype)
+            assert got.shape == (34, 1, 8, 8) and got.dtype == dtype and got.flags.c_contiguous
+            ref = np.stack([data.normalize(data.Image(px), spec, dtype=dtype) for px in stack])
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_normalize_values():

@@ -396,6 +396,63 @@ def test_tracer_sees_each_conv_and_pool_forward_once(layers, size, monkeypatch):
             assert ("forward", layer) in log[:i]
 
 
+def test_tracer_hooks_outside_nn_keep_their_contract(tmp_path, monkeypatch):
+    # An outside tracer and set-up probes replace these module attributes and
+    # methods, and read the arguments named below; a run must call each of
+    # them through the module or class attribute, or a traced run misses it.
+    from daylearn import cli, data, protocol
+
+    seen = []
+
+    def hook(owner, attr, check=None):
+        orig = getattr(owner, attr)
+
+        def shim(*args, **kwargs):
+            result = orig(*args, **kwargs)
+            if check is not None:
+                check(args, result)
+            seen.append(attr)
+            return result
+
+        monkeypatch.setattr(owner, attr, shim)
+
+    def run_day_args(args, result):
+        # run_day(model, optimizer, config, cache, train_items, val_items, day)
+        assert len(args) == 7 and isinstance(args[6], int)
+        assert len(args[4]) * args[2].epochs_per_day >= 0
+
+    def pretrain_args(args, records):
+        # pretrain(model, optimizer, config, cache, subset_items, val_items)
+        assert len(args) == 6 and len(args[4]) * len(records) > 0
+
+    def returns_image(args, result):
+        assert isinstance(result, data.Image)
+
+    hook(protocol, "run_day", run_day_args)
+    hook(protocol, "pretrain", pretrain_args)
+    hook(protocol, "pgm_read", returns_image)
+    for attr in ("normalize", "ingest_directory", "split_manifest", "evaluate", "augment_image"):
+        hook(protocol, attr)
+    for attr in ("image", "tensor"):
+        hook(protocol.DatasetCache, attr)
+    hook(cli, "evaluate_model")
+
+    root = str(tmp_path / "data")
+    data.gen_synthetic(3, 12, 8, 0.05, 0, root)
+    config = protocol.ExperimentConfig(
+        layers=parse_layers("conv:2:3:1:1,relu,pool:2,flatten,dense:3", 8), image_size=8,
+        batch_size=4, pretrain_size=6, pretrain_epochs=1, total_days=2, n_per_day=6,
+        checkpoint_every=0, data_root=root,
+    )
+    protocol.run_experiment(config, tmp_path / "run")
+    assert cli.dispatch(["evaluate", "--checkpoint", str(tmp_path / "run" / "ckpt_final.bin"),
+                         "--manifest", str(tmp_path / "run" / "test.txt"), "--data-root", root]) == 0
+    assert set(seen) == {"run_day", "pretrain", "pgm_read", "normalize", "ingest_directory",
+                         "split_manifest", "evaluate", "augment_image", "image", "evaluate_model"}
+    protocol.DatasetCache(root, config.norm).tensor("c0/img_00000.pgm")
+    assert seen[-1] == "tensor"
+
+
 @pytest.mark.parametrize("layers,size", ORDER_STACKS)
 def test_relu_before_pool_runs_on_pooled_tensor(layers, size):
     m = nn.Model(parse_layers(layers, size), (1, size, size), seed=0)

@@ -1,5 +1,6 @@
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from daylearn import nn, protocol
 from daylearn.config import parse_layers
 from daylearn.data import AUG_DRAWS, AugmentConfig, augment_batch, gen_synthetic, manifest_read
-from daylearn.errors import ConfigError, UsageError
+from daylearn.errors import ConfigError, DataError, UsageError
 from daylearn.metrics import read_metrics
 from daylearn.protocol import (
     DatasetCache,
@@ -60,20 +61,16 @@ def constant_logit_model(config):
     return model
 
 
-def balanced_items(config, n_per_class=4):
-    rng = np.random.default_rng(0)
-    items = []
-    for k in range(3):
-        for _ in range(n_per_class):
-            items.append((rng.standard_normal((1, 16, 16)).astype(np.float32), k))
-    return items
+def balanced_split(config, n_per_class=4):
+    """(x, labels) of n_per_class random 16x16 images per class."""
+    x = np.random.default_rng(0).standard_normal((3 * n_per_class, 1, 16, 16)).astype(np.float32)
+    return x, np.repeat(np.arange(3), n_per_class)
 
 
 def test_evaluate_constant_logits_accuracy_third(dataset):
     config = small_config(dataset)
     model = constant_logit_model(config)
-    items = balanced_items(config)
-    loss, acc = evaluate(model, items, "softmax_ce", 8)
+    loss, acc = evaluate(model, *balanced_split(config), "softmax_ce", 8)
     assert acc == pytest.approx(1 / 3)
     assert loss == pytest.approx(math.log(3), rel=1e-5)
 
@@ -81,16 +78,47 @@ def test_evaluate_constant_logits_accuracy_third(dataset):
 def test_evaluate_deterministic(dataset):
     config = small_config(dataset)
     model = build_model(config)
-    items = balanced_items(config)
-    a = evaluate(model, items, "softmax_ce", 8)
-    b = evaluate(model, items, "softmax_ce", 8)
+    split = balanced_split(config)
+    a = evaluate(model, *split, "softmax_ce", 8)
+    b = evaluate(model, *split, "softmax_ce", 8)
     assert a == b
 
 
 def test_evaluate_empty_dataset_rejected(dataset):
     config = small_config(dataset)
     with pytest.raises(UsageError):
-        evaluate(build_model(config), [], "softmax_ce", 8)
+        evaluate(build_model(config), np.empty((0, 1, 16, 16), np.float32), np.empty(0, np.int64),
+                 "softmax_ce", 8)
+
+
+def _evaluate_items(model, items, loss_kind, batch_size):
+    """The per-item path `evaluate` replaced: (tensor, label) pairs, one
+    np.stack per batch."""
+    labels = np.array([label for _, label in items], dtype=np.int64)
+    total_loss, correct = 0.0, 0
+    for start in range(0, len(items), batch_size):
+        batch = range(start, min(start + batch_size, len(items)))
+        y = labels[list(batch)]
+        logits, pred = nn.predict_batch(model, np.stack([items[i][0] for i in batch]))
+        targets = nn.targets_for(loss_kind, y, model.num_classes, dtype=model.dtype)
+        loss, _ = nn.loss_forward_backward(loss_kind, logits, targets)
+        total_loss += loss * len(batch)
+        correct += int((pred == y).sum())
+    return total_loss / len(items), correct / len(items)
+
+
+def test_evaluate_split_array_matches_per_item_path(dataset):
+    config = small_config(dataset)
+    model = build_model(config)
+    split = manifest_read(os.path.join(dataset, "manifest.txt")).subset(range(0, 120, 3))
+    x, labels = protocol.load_split(dataset, split, config.norm)
+    cache = DatasetCache(dataset, config.norm)
+    items = [(cache.tensor(rel), int(y)) for (rel, _), y in zip(split.entries, labels)]
+    assert x.tobytes() == np.stack([t for t, _ in items]).tobytes()
+    for loss_kind in nn.LOSS_KINDS:
+        for batch_size in (8, 7, 64):
+            got = evaluate(model, x, labels, loss_kind, batch_size)
+            assert got == _evaluate_items(model, items, loss_kind, batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +192,31 @@ def test_strategy_b_runs_and_trains_day_one(dataset, tmp_path):
     log = run_experiment(cfg, tmp_path / "run")
     day1 = [r for r in log.records if r.phase == "sequential" and r.day == 1]
     assert day1[0].train_loss is not None
+
+
+def test_validation_split_is_loaded_only_when_read(dataset, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    half = dict(strategy="half_split", total_days=3, n_per_day=10)
+    run_experiment(small_config(str(data), **half), tmp_path / "healthy")
+    run_experiment(small_config(str(data), pretrain_size=16, **half), tmp_path / "pre_full")
+    run_experiment(small_config(str(data), pretrain_size=16, **half), tmp_path / "pre_resumed",
+                   stop_after_day=1)
+    rel = manifest_read(tmp_path / "healthy" / "val.txt").entries[0][0]
+    (data / rel).write_bytes(b"P5\n16 16\n255\n")  # truncated pixel payload
+
+    # half_split without pre-training never reads the global validation split
+    run_experiment(small_config(str(data), **half), tmp_path / "corrupt")
+    assert (tmp_path / "corrupt/metrics.csv").read_bytes() == (tmp_path / "healthy/metrics.csv").read_bytes()
+    # nor does a resumed run, whose pre-training is already done
+    run_experiment(small_config(str(data), pretrain_size=16, **half), tmp_path / "pre_resumed", resume=True)
+    for name in ("metrics.csv", "ckpt_final.bin"):
+        assert (tmp_path / "pre_resumed" / name).read_bytes() == (tmp_path / "pre_full" / name).read_bytes()
+    # pre-training on a fresh run and the global strategy do read it
+    with pytest.raises(DataError, match="short pixel payload"):
+        run_experiment(small_config(str(data), pretrain_size=16, **half), tmp_path / "pre")
+    with pytest.raises(DataError, match="short pixel payload"):
+        run_experiment(small_config(str(data), total_days=3, n_per_day=10), tmp_path / "global")
 
 
 def test_class_count_mismatch_rejected(dataset, tmp_path):
