@@ -8,6 +8,7 @@ grad-check. Exit codes: 0 success, 1 runtime/numeric/checkpoint failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -166,24 +167,46 @@ def _lock_owner_alive(path):
     return True
 
 
+# link(2) errors of a file system that cannot make hard links (vfat, exFAT,
+# some network and FUSE mounts)
+_NO_HARD_LINKS = (errno.EPERM, errno.EOPNOTSUPP, errno.ENOTSUP, errno.ENOSYS)
+
+
+def _place_lock(tmp, path):
+    """Make `path` hold the pid in `tmp`; FileExistsError if it exists."""
+    try:
+        os.link(tmp, path)
+    except OSError as e:
+        if e.errno not in _NO_HARD_LINKS:
+            raise
+        # no hard links here: create the lock exclusively and write the pid
+        # after, so only on such a file system can a crash leave it empty
+        with open(path, "x", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+
+
 def _acquire_lock(out):
     """Create `out`/lock holding this process's pid and return its path.
 
-    The pid is written to a temp file first, which is then hard-linked to
-    the lock name; the link fails if the lock exists. So the lock holds
-    its pid from the moment it appears, and a crash can leave at most a
-    stray temp file, never a lock without a pid. A lock left by a run
-    that was killed (its pid is gone) is taken over; a lock whose owner
-    is alive, or that holds no pid, refuses the run.
+    The pid is written and synced to a temp file first, which is then
+    hard-linked to the lock name; the link fails if the lock exists. So
+    the lock holds its pid from the moment it appears, and a crash can
+    leave at most a stray temp file, never a lock without a pid. On a
+    file system without hard links the lock is created exclusively
+    instead. A lock left by a run that was killed (its pid is gone) is
+    taken over; a lock whose owner is alive, or that holds no pid,
+    refuses the run.
     """
     path = os.path.join(out, _LOCK_NAME)
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as f:
         f.write(f"{os.getpid()}\n")
+        f.flush()
+        os.fsync(f.fileno())
     try:
         while True:
             try:
-                os.link(tmp, path)
+                _place_lock(tmp, path)
                 return path
             except FileExistsError:
                 if _lock_owner_alive(path):

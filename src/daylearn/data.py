@@ -8,6 +8,7 @@ class labels; paths are relative to the manifest's directory.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import re
@@ -392,28 +393,34 @@ class NormalizationSpec:
             raise ConfigError("normalization std must be > 0")
 
 
-def normalize(image, spec: NormalizationSpec = NormalizationSpec(), dtype=np.float32):
-    """(pixel/255 - mean)/std. An Image gives [1, H, W]; an (n, H, W)
-    uint8 stack gives [n, 1, H, W], byte-equal to stacking per image."""
-    px = image.pixels if isinstance(image, Image) else np.asarray(image)
-    t = px.astype(np.float64)
+@functools.lru_cache(maxsize=16)
+def _normalize_table(spec, dtype):
+    """(v/255 - mean)/std in float64, cast to dtype, for each v in 0..255."""
+    t = np.arange(256, dtype=np.float64)
     t /= 255.0
     t -= spec.mean
     t /= spec.std
-    return t[..., None, :, :].astype(dtype)
+    return t.astype(dtype)
 
 
-def normalize_stack(pixels, spec: NormalizationSpec = NormalizationSpec(), dtype=np.float32):
-    """`normalize` of an (n, H, W) uint8 stack as one contiguous
-    [n, 1, H, W] array, byte-equal to it: each pixel indexes a table of
-    `normalize` over the 256 values. The lookup runs 16 images at a time,
+def normalize(image, spec: NormalizationSpec = NormalizationSpec(), dtype=np.float32):
+    """(pixel/255 - mean)/std. An Image gives [1, H, W]; an (n, H, W)
+    uint8 stack gives one contiguous [n, 1, H, W] array.
+
+    Each pixel indexes a table of the formula over the 256 values, so each
+    result is the formula's exactly. The lookup runs 16 images at a time,
     because `np.take` first casts its indices to intp; so no temporary the
-    size of the stack is made."""
-    table = normalize(np.arange(256, dtype=np.uint8)[None], spec, dtype).reshape(256)
-    out = np.empty((len(pixels), 1) + pixels.shape[1:], dtype=table.dtype)
-    for i in range(0, len(pixels), 16):
-        np.take(table, pixels[i : i + 16], out=out[i : i + 16, 0])
-    return out
+    size of the stack is made.
+    """
+    px = image.pixels if isinstance(image, Image) else np.asarray(image)
+    if px.dtype != np.uint8:
+        raise DataError(f"normalize takes uint8 pixels, got {px.dtype}")
+    table = _normalize_table(spec, np.dtype(dtype))
+    stack = px.reshape((-1,) + px.shape[-2:])
+    out = np.empty((len(stack), 1) + px.shape[-2:], dtype=table.dtype)
+    for i in range(0, len(stack), 16):
+        np.take(table, stack[i : i + 16], out=out[i : i + 16, 0])
+    return out.reshape(px.shape[:-2] + out.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .data import (
     augment_batch as augment_image,  # the name the benchmark tracer wraps
     ingest_directory,
     normalize,
-    normalize_stack,
     pgm_read,
     replacing_open,
     split_manifest,
@@ -36,6 +35,7 @@ from .metrics import MetricsRecord, RunLog, CSV_COLUMNS, format_record, read_met
 from .rng import substream
 from .schedule import (
     GLOBAL_HOLDOUT,
+    GLOBAL_VAL_STRATEGIES,
     STRATEGIES,
     day_split,
     dayplan_write,
@@ -123,28 +123,21 @@ def build_model(config: ExperimentConfig, dtype=np.float32):
 
 
 class DatasetCache:
-    """Loads PGM files once; serves raw images, normalized tensors and
-    normalized stacks."""
+    """Loads PGM files once; serves raw images and normalized stacks."""
 
     def __init__(self, root, norm: NormalizationSpec):
         self.root = root
         self.norm = norm
         self._images = {}
-        self._tensors = {}
 
     def image(self, rel_path):
         if rel_path not in self._images:
             self._images[rel_path] = pgm_read(os.path.join(self.root, rel_path))
         return self._images[rel_path]
 
-    def tensor(self, rel_path):
-        if rel_path not in self._tensors:
-            self._tensors[rel_path] = normalize(self.image(rel_path), self.norm)
-        return self._tensors[rel_path]
-
     def stack(self, rel_paths):
         """The images as one normalized [n, 1, H, W] array."""
-        return normalize_stack(np.stack([self.image(rel).pixels for rel in rel_paths]), self.norm)
+        return normalize(np.stack([self.image(rel).pixels for rel in rel_paths]), self.norm)
 
 
 def load_split(root, manifest, norm):
@@ -154,7 +147,7 @@ def load_split(root, manifest, norm):
     if not manifest.entries:
         raise UsageError("cannot evaluate on an empty dataset")
     pixels = np.stack([pgm_read(os.path.join(root, rel)).pixels for rel, _ in manifest.entries])
-    return normalize_stack(pixels, norm), manifest.labels_as_indices()
+    return normalize(pixels, norm), manifest.labels_as_indices()
 
 
 def _batches(n, batch_size):
@@ -370,7 +363,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
 
     # the global validation split is read only by pre-training on a fresh
     # run and by the global strategy; a run that needs neither never loads it
-    reads_val = config.strategy == GLOBAL_HOLDOUT or (subset_idx and not resume)
+    reads_val = config.strategy in GLOBAL_VAL_STRATEGIES or (subset_idx and not resume)
     val_split = load_split(config.data_root, val_m, config.norm) if reads_val else None
     test_split = load_split(config.data_root, test_m, config.norm)
 

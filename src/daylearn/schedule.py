@@ -17,6 +17,9 @@ GLOBAL_HOLDOUT = "global"
 PREV_TRAIN_CURR_VAL = "prev_curr"  # strategy A
 HALF_SPLIT = "half_split"  # strategy B
 STRATEGIES = (GLOBAL_HOLDOUT, PREV_TRAIN_CURR_VAL, HALF_SPLIT)
+# the strategies whose every day validates on the global validation split:
+# day_split returns validation=None for exactly these
+GLOBAL_VAL_STRATEGIES = (GLOBAL_HOLDOUT,)
 
 
 @dataclass
@@ -99,7 +102,7 @@ def day_split(strategy, day_index, prev_batch, curr_batch, seed):
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown validation strategy {strategy!r}")
-    if strategy == GLOBAL_HOLDOUT:
+    if strategy in GLOBAL_VAL_STRATEGIES:
         return list(curr_batch), None
     if strategy == PREV_TRAIN_CURR_VAL:
         if day_index == 1:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import pathlib
 import struct
@@ -292,6 +293,22 @@ def test_run_after_a_crash_while_taking_the_lock(tmp_path, killed):
         assert int(lock.read_text()) > 0  # the dead child's pid
     assert dispatch(_small_run_argv(tmp_path, out)) == 0
     assert (out / "ckpt_final.bin").exists() and not lock.exists()
+
+
+def test_run_lock_without_hard_links(tmp_path, monkeypatch, capsys):
+    # a file system that refuses link(2) falls back to an exclusive create
+    def no_link(*a):
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "link", no_link)
+    out = tmp_path / "r"
+    assert dispatch(_small_run_argv(tmp_path, out)) == 0
+    assert (out / "ckpt_final.bin").exists()
+    assert sorted(p.name for p in out.iterdir() if "lock" in p.name) == []
+    (out / "lock").write_text(f"{os.getpid()}\n")
+    assert dispatch(_small_run_argv(tmp_path, out)) == 2
+    assert "locked" in capsys.readouterr().err
+    assert (out / "lock").read_text() == f"{os.getpid()}\n"
 
 
 class _Crash(Exception):

@@ -344,16 +344,31 @@ def test_normalize_stack_byte_equal_per_image():
         assert got.tobytes() == ref.tobytes()
 
 
-def test_normalize_table_byte_equal_per_image_for_every_value():
+def _normalize_formula(px, spec, dtype):
+    # (pixel/255 - mean)/std computed per pixel in float64, then cast
+    t = px.astype(np.float64)
+    t /= 255.0
+    t -= spec.mean
+    t /= spec.std
+    return t[..., None, :, :].astype(dtype)
+
+
+def test_normalize_table_byte_equal_to_formula_for_every_value():
     # all 256 values, then random images, across several 16-image lookup chunks
     values = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
     stack = np.concatenate([values, substream(9, "table").integers(0, 256, (30, 8, 8), dtype=np.uint8)])
     for spec in (data.NormalizationSpec(), data.NormalizationSpec(0.3, 0.7), data.NormalizationSpec(-1.5, 3e-3)):
         for dtype in (np.float32, np.float64):
-            got = data.normalize_stack(stack, spec, dtype=dtype)
+            got = data.normalize(stack, spec, dtype=dtype)
             assert got.shape == (34, 1, 8, 8) and got.dtype == dtype and got.flags.c_contiguous
-            ref = np.stack([data.normalize(data.Image(px), spec, dtype=dtype) for px in stack])
-            assert got.tobytes() == ref.tobytes()
+            assert got.tobytes() == _normalize_formula(stack, spec, dtype).tobytes()
+            one = data.normalize(data.Image(stack[5]), spec, dtype=dtype)
+            assert one.tobytes() == _normalize_formula(stack[5], spec, dtype).tobytes()
+
+
+def test_normalize_rejects_non_uint8_pixels():
+    with pytest.raises(DataError):
+        data.normalize(np.zeros((2, 4, 4), dtype=np.int64))
 
 
 def test_normalize_values():

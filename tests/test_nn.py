@@ -433,8 +433,7 @@ def test_tracer_hooks_outside_nn_keep_their_contract(tmp_path, monkeypatch):
     hook(protocol, "pgm_read", returns_image)
     for attr in ("normalize", "ingest_directory", "split_manifest", "evaluate", "augment_image"):
         hook(protocol, attr)
-    for attr in ("image", "tensor"):
-        hook(protocol.DatasetCache, attr)
+    hook(protocol.DatasetCache, "image")
     hook(cli, "evaluate_model")
 
     root = str(tmp_path / "data")
@@ -449,8 +448,6 @@ def test_tracer_hooks_outside_nn_keep_their_contract(tmp_path, monkeypatch):
                          "--manifest", str(tmp_path / "run" / "test.txt"), "--data-root", root]) == 0
     assert set(seen) == {"run_day", "pretrain", "pgm_read", "normalize", "ingest_directory",
                          "split_manifest", "evaluate", "augment_image", "image", "evaluate_model"}
-    protocol.DatasetCache(root, config.norm).tensor("c0/img_00000.pgm")
-    assert seen[-1] == "tensor"
 
 
 @pytest.mark.parametrize("layers,size", ORDER_STACKS)

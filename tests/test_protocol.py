@@ -7,7 +7,9 @@ import pytest
 
 from daylearn import nn, protocol
 from daylearn.config import parse_layers
-from daylearn.data import AUG_DRAWS, AugmentConfig, augment_batch, gen_synthetic, manifest_read
+from daylearn.data import (
+    AUG_DRAWS, AugmentConfig, augment_batch, gen_synthetic, manifest_read, normalize,
+)
 from daylearn.errors import ConfigError, DataError, UsageError
 from daylearn.metrics import read_metrics
 from daylearn.protocol import (
@@ -113,7 +115,8 @@ def test_evaluate_split_array_matches_per_item_path(dataset):
     split = manifest_read(os.path.join(dataset, "manifest.txt")).subset(range(0, 120, 3))
     x, labels = protocol.load_split(dataset, split, config.norm)
     cache = DatasetCache(dataset, config.norm)
-    items = [(cache.tensor(rel), int(y)) for (rel, _), y in zip(split.entries, labels)]
+    items = [(normalize(cache.image(rel), config.norm), int(y))
+             for (rel, _), y in zip(split.entries, labels)]
     assert x.tobytes() == np.stack([t for t, _ in items]).tobytes()
     for loss_kind in nn.LOSS_KINDS:
         for batch_size in (8, 7, 64):
@@ -344,8 +347,9 @@ def test_dataset_cache_loads_once(dataset):
 
     cache = DatasetCache(dataset, NormalizationSpec())
     m = manifest_read(os.path.join(dataset, "manifest.txt"))
-    rel = m.entries[0][0]
-    a = cache.tensor(rel)
-    b = cache.tensor(rel)
-    assert a is b
-    assert a.shape == (1, 16, 16)
+    rels = [rel for rel, _ in m.entries[:3]]
+    first = cache.image(rels[0])
+    x = cache.stack(rels)
+    assert cache.image(rels[0]) is first
+    assert x.shape == (3, 1, 16, 16) and x.dtype == np.float32 and x.flags.c_contiguous
+    assert x.tobytes() == np.stack([normalize(cache.image(rel)) for rel in rels]).tobytes()
