@@ -31,8 +31,8 @@ from .data import (
 )
 from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
+from .protocol import METRICS_FILE, load_split, read_state, run_experiment
 from .protocol import evaluate as evaluate_model
-from .protocol import load_split, run_experiment
 from .rng import substream
 
 _LOCK_NAME = "lock"
@@ -139,6 +139,8 @@ def _cmd_run(args, overrides):
     os.makedirs(args.out, exist_ok=True)
     lock_path = _acquire_lock(args.out)
     try:
+        if args.resume:  # a refused resume writes nothing
+            read_state(args.out, config.config_hash())
         write_effective_config(effective, os.path.join(args.out, "effective_config.cfg"))
         log = run_experiment(
             config, args.out, resume=args.resume, stop_after_day=args.stop_after_day
@@ -223,7 +225,7 @@ def _cmd_evaluate(args):
     std = args.norm_std if args.norm_std is not None else NormalizationSpec().std
     spec = NormalizationSpec(mean, std)
     root = args.data_root or os.path.dirname(os.path.abspath(args.manifest))
-    x, labels = load_split(root, manifest, spec)
+    x, labels = load_split(root, manifest, spec, model.input_shape[1:])
     loss, acc = evaluate_model(model, x, labels, args.loss, args.batch_size)
     print(f"loss={loss:.6g} accuracy={acc:.6g} n={len(x)}")
     return 0
@@ -232,7 +234,7 @@ def _cmd_evaluate(args):
 def _cmd_assess(args, overrides):
     effective = load_effective_config(args.config, overrides)
     detector = to_detector_config(effective)
-    log = read_metrics(os.path.join(args.run, "metrics.csv"))
+    log = read_metrics(os.path.join(args.run, METRICS_FILE))
     report = training_assessment(log, detector)
     print(f"plateaued={report['plateaued']} plateau_index={report['plateau_index']}")
     print(f"forgetting_events={report['forgetting_events']}")
@@ -241,7 +243,7 @@ def _cmd_assess(args, overrides):
 
 
 def _cmd_plot(args):
-    log = read_metrics(os.path.join(args.run, "metrics.csv"))
+    log = read_metrics(os.path.join(args.run, METRICS_FILE))
     names = [s.strip() for s in args.series.split(",") if s.strip()]
     emit_plot(log, names, args.out, phase=args.phase)
     print(f"wrote {args.out}")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import replacing_open
 from .errors import DataError, UsageError
 
 PHASES = ("pretrain", "sequential")
@@ -68,10 +69,17 @@ def format_record(run_id, rec: MetricsRecord) -> str:
 
 
 def write_metrics(log: RunLog, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    """The header and every record of `log`; a crash mid-write leaves the
+    previous file whole."""
+    with replacing_open(path) as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in log.records:
-            f.write(format_record(log.run_id, rec) + "\n")
+        f.writelines(format_record(log.run_id, rec) + "\n" for rec in log.records)
+
+
+def append_metrics(run_id, records, path):
+    """Append the records as rows to a file `write_metrics` started."""
+    with open(path, "a", encoding="utf-8", newline="\n") as f:
+        f.writelines(format_record(run_id, rec) + "\n" for rec in records)
 
 
 def read_metrics(path, drop_unterminated=False) -> RunLog:

@@ -31,7 +31,7 @@ from .data import (
     split_manifest,
 )
 from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
-from .metrics import MetricsRecord, RunLog, CSV_COLUMNS, format_record, read_metrics
+from .metrics import MetricsRecord, RunLog, append_metrics, read_metrics, write_metrics
 from .rng import substream
 from .schedule import (
     GLOBAL_HOLDOUT,
@@ -122,17 +122,29 @@ def build_model(config: ExperimentConfig, dtype=np.float32):
     return nn.Model(config.layers, shape, seed=config.seed, dtype=dtype)
 
 
+def _decode(root, rel_path, shape):
+    """The image at `rel_path` under `root`; DataError unless it is
+    `shape` (height, width) pixels, as every image of a run must be."""
+    image = pgm_read(os.path.join(root, rel_path))
+    if image.pixels.shape != shape:
+        raise DataError(
+            f"{rel_path}: image is {image.width}x{image.height}, expected {shape[1]}x{shape[0]}"
+        )
+    return image
+
+
 class DatasetCache:
     """Loads PGM files once; serves raw images and normalized stacks."""
 
-    def __init__(self, root, norm: NormalizationSpec):
+    def __init__(self, root, norm: NormalizationSpec, shape):
         self.root = root
         self.norm = norm
+        self.shape = shape
         self._images = {}
 
     def image(self, rel_path):
         if rel_path not in self._images:
-            self._images[rel_path] = pgm_read(os.path.join(self.root, rel_path))
+            self._images[rel_path] = _decode(self.root, rel_path, self.shape)
         return self._images[rel_path]
 
     def stack(self, rel_paths):
@@ -140,13 +152,14 @@ class DatasetCache:
         return normalize(np.stack([self.image(rel).pixels for rel in rel_paths]), self.norm)
 
 
-def load_split(root, manifest, norm):
-    """An evaluation split as (x, labels): each image decoded once into a
-    uint8 stack, normalized into one [N, 1, H, W] float32 array. Nothing
-    is cached, so the images are kept once, as `x`."""
+def load_split(root, manifest, norm, shape):
+    """An evaluation split of `shape` (height, width) images as (x, labels):
+    each image decoded once into a uint8 stack, normalized into one
+    [N, 1, H, W] float32 array. Nothing is cached, so the images are kept
+    once, as `x`."""
     if not manifest.entries:
         raise UsageError("cannot evaluate on an empty dataset")
-    pixels = np.stack([pgm_read(os.path.join(root, rel)).pixels for rel, _ in manifest.entries])
+    pixels = np.stack([_decode(root, rel, shape).pixels for rel, _ in manifest.entries])
     return normalize(pixels, norm), manifest.labels_as_indices()
 
 
@@ -161,6 +174,8 @@ def evaluate(model, x, labels, loss_kind, batch_size):
     n = len(x)
     if n == 0:
         raise UsageError("cannot evaluate on an empty dataset")
+    if x.shape[1:] != model.input_shape:
+        raise DataError(f"images of shape {x.shape[1:]} for a model that takes {model.input_shape}")
     total_loss = 0.0
     correct = 0
     for batch in _batches(n, batch_size):
@@ -199,6 +214,28 @@ def _train_epoch(model, optimizer, config, cache, items, day, epoch):
     return total_loss / len(items), correct / len(items), steps
 
 
+def _run_epochs(model, optimizer, config, cache, items, val_items, day, epochs, target=None):
+    """Up to `epochs` epochs: each trains on `items` when there are any,
+    validates on `val_items` and records a row; the loop stops after the
+    epoch whose val_acc reaches `target`, when one is given. Day 0 is
+    pre-training. Returns (records, steps)."""
+    records = []
+    total_steps = 0
+    for epoch in range(1, epochs + 1):
+        train_loss = train_acc = None
+        if items:
+            train_loss, train_acc, steps = _train_epoch(
+                model, optimizer, config, cache, items, day, epoch
+            )
+            total_steps += steps
+        val_loss, val_acc = evaluate(model, *val_items, config.loss_kind, config.batch_size)
+        phase = "pretrain" if day == 0 else "sequential"
+        records.append(MetricsRecord(day, epoch, phase, train_loss, train_acc, val_loss, val_acc))
+        if target is not None and val_acc >= target:
+            break
+    return records, total_steps
+
+
 def run_day(model, optimizer, config, cache, train_items, val_items, day):
     """Day-epochs over one day's training set plus per-epoch validation.
 
@@ -207,28 +244,9 @@ def run_day(model, optimizer, config, cache, train_items, val_items, day):
     val_items: (x, labels) as `evaluate` takes them.
     Returns (records, steps).
     """
-    records = []
-    total_steps = 0
-    for epoch in range(1, config.epochs_per_day + 1):
-        train_loss = train_acc = None
-        if train_items:
-            train_loss, train_acc, steps = _train_epoch(
-                model, optimizer, config, cache, train_items, day, epoch
-            )
-            total_steps += steps
-        val_loss, val_acc = evaluate(model, *val_items, config.loss_kind, config.batch_size)
-        records.append(
-            MetricsRecord(
-                day=day,
-                epoch=epoch,
-                phase="sequential",
-                train_loss=train_loss,
-                train_acc=train_acc,
-                val_loss=val_loss,
-                val_acc=val_acc,
-            )
-        )
-    return records, total_steps
+    return _run_epochs(
+        model, optimizer, config, cache, train_items, val_items, day, config.epochs_per_day
+    )
 
 
 def pretrain(model, optimizer, config, cache, subset_items, val_items):
@@ -236,25 +254,10 @@ def pretrain(model, optimizer, config, cache, subset_items, val_items):
     val_items: (x, labels) as `evaluate` takes them."""
     if not subset_items:
         raise ConfigError("pre-training subset is empty")
-    records = []
-    for epoch in range(1, config.pretrain_epochs + 1):
-        train_loss, train_acc, _ = _train_epoch(
-            model, optimizer, config, cache, subset_items, 0, epoch
-        )
-        val_loss, val_acc = evaluate(model, *val_items, config.loss_kind, config.batch_size)
-        records.append(
-            MetricsRecord(
-                day=0,
-                epoch=epoch,
-                phase="pretrain",
-                train_loss=train_loss,
-                train_acc=train_acc,
-                val_loss=val_loss,
-                val_acc=val_acc,
-            )
-        )
-        if val_acc >= config.pretrain_target:
-            break
+    records, _ = _run_epochs(
+        model, optimizer, config, cache, subset_items, val_items, 0,
+        config.pretrain_epochs, config.pretrain_target,
+    )
     return records
 
 
@@ -262,8 +265,8 @@ def pretrain(model, optimizer, config, cache, subset_items, val_items):
 # Full experiment with checkpoint/resume
 # ---------------------------------------------------------------------------
 
+METRICS_FILE = "metrics.csv"
 _STATE_FILE = "state.txt"
-_METRICS_FILE = "metrics.csv"
 _DAYPLAN_FILE = "dayplan.txt"
 _FINAL_CKPT = "ckpt_final.bin"
 
@@ -275,78 +278,66 @@ def _write_state(out_dir, config_hash, last_day, ckpt_name):
         f.write(f"checkpoint={ckpt_name}\n")
 
 
-def _read_state(out_dir):
+def read_state(out_dir, config_hash):
+    """(last_day, checkpoint name) from `out_dir`/state.txt, or None when
+    there is no state.txt: such a directory holds no checkpoint, so its
+    run starts from day 1. Refuses a state saved under another config."""
     path = os.path.join(out_dir, _STATE_FILE)
     try:
         with open(path, "r", encoding="utf-8") as f:
             kv = dict(line.partition("=")[::2] for line in f.read().splitlines())
-        return kv["config_hash"], int(kv["last_day"]), kv["checkpoint"]
+        saved_hash, last_day, ckpt_name = kv["config_hash"], int(kv["last_day"]), kv["checkpoint"]
+    except FileNotFoundError:
+        return None
     except (KeyError, ValueError):  # UnicodeDecodeError is a ValueError
         raise CheckpointError(
             f"corrupt run state {path}: needs config_hash, integer last_day and checkpoint"
         ) from None
-
-
-class _CsvWriter:
-    """Appends formatted metric rows; supports replay for resume."""
-
-    def __init__(self, path, run_id):
-        self.path = path
-        self.run_id = run_id
-
-    def start(self, kept_rows):
-        with replacing_open(self.path) as f:
-            f.write(",".join(CSV_COLUMNS) + "\n")
-            for row in kept_rows:
-                f.write(row + "\n")
-
-    def append(self, records):
-        with open(self.path, "a", encoding="utf-8", newline="\n") as f:
-            for rec in records:
-                f.write(format_record(self.run_id, rec) + "\n")
-
-
-def _split_and_manifests(config, out_dir):
-    manifest = ingest_directory(config.data_root)
-    if len(manifest.class_names) < 2:
-        raise DataError("training needs at least 2 classes")
-    train_m, val_m, test_m = split_manifest(
-        manifest, fractions=config.split_fractions, seed=config.seed, out_dir=out_dir
-    )
-    return train_m, val_m, test_m
+    if saved_hash != config_hash:
+        raise ConfigError(
+            "resume refused: config hash does not match the run directory; "
+            "the directory may also predate the canonical config hash, "
+            "and such a directory cannot be resumed"
+        )
+    return last_day, ckpt_name
 
 
 def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_day=None):
     """Split -> optional pretrain -> day loop -> per-day test evaluation.
 
     Writes metrics.csv, dayplan.txt, manifests, checkpoints, state.txt and
-    run_meta.txt under out_dir. Returns the RunLog. stop_after_day ends the
-    run early with a checkpoint so it can be resumed.
+    run_meta.txt under out_dir. Returns the RunLog. A resumed run reads and
+    checks state.txt before it writes anything, and goes on from the day
+    after the one it names; with no state.txt it starts from day 1.
+    stop_after_day ends the run early with a checkpoint so it can be
+    resumed.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if not config.data_root:
         raise ConfigError("config.data_root is required")
     t0 = time.time()
     cfg_hash = config.config_hash()
     run_id = cfg_hash[:8]
+    state = read_state(out_dir, cfg_hash) if resume else None
+    os.makedirs(out_dir, exist_ok=True)
 
-    train_m, val_m, test_m = _split_and_manifests(config, out_dir)
-    cache = DatasetCache(config.data_root, config.norm)
+    manifest = ingest_directory(config.data_root)
+    if len(manifest.class_names) < 2:
+        raise DataError("training needs at least 2 classes")
+    train_m, val_m, test_m = split_manifest(
+        manifest, fractions=config.split_fractions, seed=config.seed, out_dir=out_dir
+    )
+    shape = (config.image_size, config.image_size)
+    cache = DatasetCache(config.data_root, config.norm, shape)
 
     labels_all = train_m.labels_as_indices()
 
-    # pre-training subset is carved out before day planning
-    if config.pretrain_size > 0:
-        if config.pretrain_size > len(train_m):
-            raise ConfigError(
-                f"pretrain_size {config.pretrain_size} exceeds train split {len(train_m)}"
-            )
-        perm = substream(config.seed, "pretrain_subset").permutation(len(train_m))
-        subset_idx = sorted(int(i) for i in perm[: config.pretrain_size])
-        rest_idx = sorted(int(i) for i in perm[config.pretrain_size :])
-    else:
-        subset_idx = []
-        rest_idx = list(range(len(train_m)))
+    # pre-training subset is carved out before day planning; with
+    # pretrain_size 0 it is empty and the rest is the whole train split
+    if config.pretrain_size > len(train_m):
+        raise ConfigError(f"pretrain_size {config.pretrain_size} exceeds train split {len(train_m)}")
+    perm = substream(config.seed, "pretrain_subset").permutation(len(train_m))
+    subset_idx = sorted(int(i) for i in perm[: config.pretrain_size])
+    rest_idx = sorted(int(i) for i in perm[config.pretrain_size :])
 
     plan = plan_days(
         len(rest_idx),
@@ -361,33 +352,16 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         # (rel_path, label) per train-manifest index
         return [(train_m.entries[i][0], int(labels_all[i])) for i in indices]
 
-    # the global validation split is read only by pre-training on a fresh
-    # run and by the global strategy; a run that needs neither never loads it
-    reads_val = config.strategy in GLOBAL_VAL_STRATEGIES or (subset_idx and not resume)
-    val_split = load_split(config.data_root, val_m, config.norm) if reads_val else None
-    test_split = load_split(config.data_root, test_m, config.norm)
+    # the global validation split is read only by pre-training, which a run
+    # with a state has done, and by the global strategy; a run that needs
+    # neither never loads it
+    reads_val = (subset_idx and state is None) or config.strategy in GLOBAL_VAL_STRATEGIES
+    val_split = load_split(config.data_root, val_m, config.norm, shape) if reads_val else None
+    test_split = load_split(config.data_root, test_m, config.norm, shape)
 
-    csv = _CsvWriter(os.path.join(out_dir, _METRICS_FILE), run_id)
-    log = RunLog(run_id)
-    total_steps = 0
-    start_day = 1
-
-    if resume:
-        saved_hash, last_day, ckpt_name = _read_state(out_dir)
-        if saved_hash != cfg_hash:
-            raise ConfigError(
-                "resume refused: config hash does not match the run directory; "
-                "the directory may also predate the canonical config hash, "
-                "and such a directory cannot be resumed"
-            )
-        model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
-        # a row torn by a kill mid-append is newer than state.txt: drop it
-        old = read_metrics(os.path.join(out_dir, _METRICS_FILE), drop_unterminated=True)
-        kept = [r for r in old.records if r.phase == "pretrain" or r.day <= last_day]
-        log.records.extend(kept)
-        csv.start([format_record(run_id, r) for r in kept])
-        start_day = last_day + 1
-    else:
+    metrics_path = os.path.join(out_dir, METRICS_FILE)
+    if state is None:
+        last_day = 0
         model = build_model(config)
         if model.num_classes != len(train_m.class_names):
             raise ConfigError(
@@ -402,15 +376,21 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
             epsilon=config.epsilon,
             momentum=config.momentum,
         )
-        csv.start([])
+        records = []
         if subset_idx:
-            pre_records = pretrain(
-                model, optimizer, config, cache, day_items(subset_idx), val_split
-            )
-            log.records.extend(pre_records)
-            csv.append(pre_records)
+            records = pretrain(model, optimizer, config, cache, day_items(subset_idx), val_split)
+    else:
+        last_day, ckpt_name = state
+        model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
+        # a row torn by a kill mid-append is newer than state.txt: drop it;
+        # pre-training rows are day 0, so they stay
+        old = read_metrics(metrics_path, drop_unterminated=True)
+        records = [r for r in old.records if r.day <= last_day]
+    log = RunLog(run_id, records)
+    write_metrics(log, metrics_path)
+    total_steps = 0
 
-    for day in range(start_day, len(plan) + 1):
+    for day in range(last_day + 1, len(plan) + 1):
         prev_batch = plan.batch(day - 1) if day > 1 else None
         curr_batch = plan.batch(day)
         train_idx, val_idx = day_split(config.strategy, day, prev_batch, curr_batch, config.seed)
@@ -426,11 +406,11 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         records[-1].test_loss = test_loss
         records[-1].test_acc = test_acc
         log.records.extend(records)
-        csv.append(records)
+        append_metrics(run_id, records, metrics_path)
 
         at_cadence = config.checkpoint_every > 0 and day % config.checkpoint_every == 0
         stopping = stop_after_day is not None and day >= stop_after_day
-        if at_cadence or stopping or day == len(plan):
+        if at_cadence or stopping:
             ckpt_name = f"ckpt_day_{day:05d}.bin"
             nn.checkpoint_save(model, optimizer, os.path.join(out_dir, ckpt_name))
             _write_state(out_dir, cfg_hash, day, ckpt_name)

@@ -1,7 +1,9 @@
+import builtins
 import dataclasses
 import errno
 import os
 import pathlib
+import shutil
 import struct
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from daylearn import config, data, metrics, nn, protocol, schedule
+from daylearn import config, data, metrics, nn
 from daylearn.cli import dispatch
 from daylearn.config import (
     load_effective_config,
@@ -315,41 +317,54 @@ class _Crash(Exception):
     pass
 
 
-class _HalfWriter:
-    """A file whose first write stores half its data and then raises, as a
-    kill in the middle of the write would leave it."""
+class _CrashOnClose:
+    """An open file whose `with` block closes it and then raises _Crash."""
 
     def __init__(self, f):
         self.f = f
 
     def __enter__(self):
-        return self
+        return self.f
 
     def __exit__(self, *exc):
         self.f.close()
-
-    def write(self, data):
-        self.f.write(data[: len(data) // 2])
-        self.f.close()
-        raise _Crash("killed mid-write")
+        raise _Crash("killed after the write")
 
 
-def _crash_nth_write(monkeypatch, name, nth, module=data, mode_char="w"):
-    """Make the nth opening in `mode_char` mode of a file named `name`*
-    (temp files included) through `module` a _HalfWriter. Run files are
-    rewritten through daylearn.data and metrics rows appended by
-    daylearn.protocol."""
-    seen = []
+def _run_writes(monkeypatch, crash=lambda n, target, after: False):
+    """Number the writes of a run: each os.replace (a rewritten file) and
+    each append-mode open. `crash(n, target, after)` says whether to raise
+    _Crash just before write n to `target` (after=False) or just after it
+    (after=True). Returns the targets of the numbered writes and the files
+    opened for writing in any other mode."""
+    points, others = [], []
+    real_replace, real_open = os.replace, open
 
-    def fake_open(path, mode="r", *args, **kwargs):
-        f = open(path, mode, *args, **kwargs)
-        if mode_char in mode and os.path.basename(str(path)).startswith(name):
-            seen.append(path)
-            if len(seen) == nth:
-                return _HalfWriter(f)
-        return f
+    def hit(target, after):
+        return crash(len(points) - 1, target, after)
 
-    monkeypatch.setattr(module, "open", fake_open, raising=False)
+    def replace(src, dst, *args, **kwargs):
+        points.append(str(dst))
+        if hit(dst, False):
+            raise _Crash("killed before the write")
+        real_replace(src, dst, *args, **kwargs)
+        if hit(dst, True):
+            raise _Crash("killed after the write")
+
+    def open_(file, mode="r", *args, **kwargs):
+        if "a" not in mode:
+            if set(mode) & set("wx+"):
+                others.append(str(file))
+            return real_open(file, mode, *args, **kwargs)
+        points.append(str(file))
+        if hit(file, False):
+            raise _Crash("killed before the write")
+        f = real_open(file, mode, *args, **kwargs)
+        return _CrashOnClose(f) if hit(file, True) else f
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(builtins, "open", open_)
+    return points, others
 
 
 def _assert_same_run(a, b):
@@ -357,42 +372,47 @@ def _assert_same_run(a, b):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_kill_while_writing_state_resumes_byte_identical(tmp_path, monkeypatch):
-    full, crashed = tmp_path / "full", tmp_path / "crashed"
-    assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
-    _crash_nth_write(monkeypatch, "state.txt", 3)  # while saving day 3
-    with pytest.raises(_Crash):
-        dispatch(_small_run_argv(tmp_path, crashed, days=4))
+def test_crash_before_or_after_any_write_resumes_byte_identical(tmp_path, monkeypatch):
+    # a 4-day run that pre-trains and saves every day; each of its writes
+    # is a crash point, and so is the first write of the resume after it
+    def argv(out):
+        return _small_run_argv(tmp_path, out, days=4) + [
+            "--protocol.pretrain_size=8", "--protocol.pretrain_epochs=2"]
+
+    full = tmp_path / "full"
+    full_argv = argv(full)  # makes the data set first
+    points, others = _run_writes(monkeypatch)
+    assert dispatch(full_argv) == 0
     monkeypatch.undo()
-    assert "last_day=2" in (crashed / "state.txt").read_text()
-    assert dispatch(_small_run_argv(tmp_path, crashed, days=4) + ["--resume"]) == 0
-    _assert_same_run(full, crashed)
+    assert points and all(pathlib.Path(path).parent == full for path in points)
+    # every other write goes to a temp file that an os.replace then moves
+    # over the old one, so a kill in the middle of it leaves that file whole
+    assert others and all(path.endswith(".tmp") for path in others)
+    for n in range(len(points)):
+        for after in (False, True):
+            out = tmp_path / "crashed"
+            _run_writes(monkeypatch, lambda i, target, a: (i, a) == (n, after))
+            with pytest.raises(_Crash):
+                dispatch(argv(out))
+            _run_writes(monkeypatch, lambda i, target, a: (i, a) == (0, after))
+            with pytest.raises(_Crash):
+                dispatch(argv(out) + ["--resume"])
+            monkeypatch.undo()
+            assert dispatch(argv(out) + ["--resume"]) == 0, (points[n], after)
+            _assert_same_run(full, out)
+            shutil.rmtree(out)
 
 
-def test_kill_while_rewriting_metrics_resumes_byte_identical(tmp_path, monkeypatch):
-    full, crashed = tmp_path / "full", tmp_path / "crashed"
-    assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
-    argv = _small_run_argv(tmp_path, crashed, days=4)
-    assert dispatch(argv + ["--stop-after-day", "2"]) == 0
-    kept = (crashed / "metrics.csv").read_bytes()
-    _crash_nth_write(monkeypatch, "metrics.csv", 1)  # the resume's rewrite
-    with pytest.raises(_Crash):
-        dispatch(argv + ["--resume"])
-    monkeypatch.undo()
-    assert (crashed / "metrics.csv").read_bytes() == kept
-    assert dispatch(argv + ["--resume"]) == 0
-    _assert_same_run(full, crashed)
-
-
-@pytest.mark.parametrize("name", ["dayplan.txt", "test.txt", "effective_config.cfg", "run_meta.txt"])
+@pytest.mark.parametrize("name", ["dayplan.txt", "test.txt", "effective_config.cfg", "run_meta.txt",
+                                  "metrics.csv"])
 def test_kill_while_rewriting_a_run_file_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    # a resume of a stopped run, killed just before it replaces `name`
     full, crashed = tmp_path / "full", tmp_path / "crashed"
     assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
     argv = _small_run_argv(tmp_path, crashed, days=4)
     assert dispatch(argv + ["--stop-after-day", "2"]) == 0
     kept = (crashed / name).read_bytes()
-    for module in (data, schedule, config, protocol):  # whichever module writes it
-        _crash_nth_write(monkeypatch, name, 1, module=module)  # the resume's rewrite
+    _run_writes(monkeypatch, lambda n, target, after: not after and os.path.basename(target) == name)
     with pytest.raises(_Crash):
         dispatch(argv + ["--resume"])
     monkeypatch.undo()
@@ -401,16 +421,15 @@ def test_kill_while_rewriting_a_run_file_keeps_the_previous_file(tmp_path, monke
     _assert_same_run(full, crashed)
 
 
-def test_kill_while_appending_metrics_resumes_byte_identical(tmp_path, monkeypatch):
+def test_kill_while_appending_metrics_resumes_byte_identical(tmp_path):
+    # a kill in the middle of an append leaves a row without its newline
     full, crashed = tmp_path / "full", tmp_path / "crashed"
     assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
     argv = _small_run_argv(tmp_path, crashed, days=4)
-    _crash_nth_write(monkeypatch, "metrics.csv", 3, module=protocol, mode_char="a")  # day 3's row
-    with pytest.raises(_Crash):
-        dispatch(argv)
-    monkeypatch.undo()
-    assert "last_day=2" in (crashed / "state.txt").read_text()
-    assert not (crashed / "metrics.csv").read_bytes().endswith(b"\n")  # a torn row
+    assert dispatch(argv + ["--stop-after-day", "2"]) == 0
+    day3 = (full / "metrics.csv").read_bytes().splitlines(keepends=True)[3]
+    with open(crashed / "metrics.csv", "ab") as f:
+        f.write(day3[: len(day3) // 2])
     assert dispatch(argv + ["--resume"]) == 0
     _assert_same_run(full, crashed)
 
@@ -433,10 +452,13 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     state = (out / "state.txt").read_text().splitlines()
     state[0] = "config_hash=" + "0" * 64
     (out / "state.txt").write_text("\n".join(state) + "\n")
-    assert dispatch(argv + ["--resume"]) == 2
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert dispatch(argv + ["--resume", "--schedule.n_per_day=5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("CONFIG_ERROR: resume refused: config hash does not match")
     assert "may also predate the canonical config hash" in err
+    # a refused resume writes nothing, not even its own effective config
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_exit_code_data_error(tmp_path, capsys):
@@ -445,6 +467,22 @@ def test_exit_code_data_error(tmp_path, capsys):
     rc = dispatch(["split", "--data", str(root), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "DATA_ERROR" in capsys.readouterr().err
+
+
+def test_exit_code_mixed_image_sizes(tmp_path, capsys):
+    # every image of class c1 is 9 wide in an 8x8 data set
+    argv = _small_run_argv(tmp_path, tmp_path / "r")
+    for path in sorted((tmp_path / "data" / "c1").iterdir()):
+        data.pgm_write(data.Image(np.zeros((8, 9), dtype=np.uint8)), path)
+    assert dispatch(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("DATA_ERROR: c1/img_") and "image is 9x8, expected 8x8" in err
+    # evaluate checks the images against the checkpoint's input shape
+    model = nn.Model([nn.FlattenSpec(), nn.DenseSpec(64, 2)], (1, 8, 8))
+    nn.checkpoint_save(model, None, tmp_path / "ckpt.bin")
+    assert dispatch(["evaluate", "--checkpoint", str(tmp_path / "ckpt.bin"), "--manifest",
+                     str(tmp_path / "r" / "test.txt"), "--data-root", str(tmp_path / "data")]) == 3
+    assert "image is 9x8, expected 8x8" in capsys.readouterr().err
 
 
 def test_exit_code_truncated_checkpoint(tmp_path, capsys):

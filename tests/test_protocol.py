@@ -113,8 +113,8 @@ def test_evaluate_split_array_matches_per_item_path(dataset):
     config = small_config(dataset)
     model = build_model(config)
     split = manifest_read(os.path.join(dataset, "manifest.txt")).subset(range(0, 120, 3))
-    x, labels = protocol.load_split(dataset, split, config.norm)
-    cache = DatasetCache(dataset, config.norm)
+    x, labels = protocol.load_split(dataset, split, config.norm, (16, 16))
+    cache = DatasetCache(dataset, config.norm, (16, 16))
     items = [(normalize(cache.image(rel), config.norm), int(y))
              for (rel, _), y in zip(split.entries, labels)]
     assert x.tobytes() == np.stack([t for t, _ in items]).tobytes()
@@ -122,6 +122,8 @@ def test_evaluate_split_array_matches_per_item_path(dataset):
         for batch_size in (8, 7, 64):
             got = evaluate(model, x, labels, loss_kind, batch_size)
             assert got == _evaluate_items(model, items, loss_kind, batch_size)
+    with pytest.raises(DataError, match=r"images of shape \(1, 8, 8\) for a model that takes \(1, 16, 16\)"):
+        evaluate(model, x[:, :, :8, :8], labels, "softmax_ce", 8)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +321,7 @@ def test_one_aug_stream_per_epoch(dataset, tmp_path, monkeypatch):
 
 def test_draw_row_belongs_to_the_item_not_its_batch_slot(dataset, monkeypatch):
     cfg = small_config(dataset, batch_size=4)
-    cache = DatasetCache(dataset, cfg.norm)
+    cache = DatasetCache(dataset, cfg.norm, (16, 16))
     items = [(rel, 0) for rel, _ in manifest_read(os.path.join(dataset, "manifest.txt")).entries[:10]]
     seen = []
 
@@ -345,7 +347,7 @@ def test_draw_row_belongs_to_the_item_not_its_batch_slot(dataset, monkeypatch):
 def test_dataset_cache_loads_once(dataset):
     from daylearn.data import NormalizationSpec, manifest_read
 
-    cache = DatasetCache(dataset, NormalizationSpec())
+    cache = DatasetCache(dataset, NormalizationSpec(), (16, 16))
     m = manifest_read(os.path.join(dataset, "manifest.txt"))
     rels = [rel for rel, _ in m.entries[:3]]
     first = cache.image(rels[0])
@@ -353,3 +355,5 @@ def test_dataset_cache_loads_once(dataset):
     assert cache.image(rels[0]) is first
     assert x.shape == (3, 1, 16, 16) and x.dtype == np.float32 and x.flags.c_contiguous
     assert x.tobytes() == np.stack([normalize(cache.image(rel)) for rel in rels]).tobytes()
+    with pytest.raises(DataError, match="image is 16x16, expected 8x8"):
+        DatasetCache(dataset, NormalizationSpec(), (8, 8)).image(rels[0])
