@@ -8,7 +8,7 @@ grad-check. Exit codes: 0 success, 1 runtime/numeric/checkpoint failure,
 from __future__ import annotations
 
 import argparse
-import errno
+import fcntl
 import os
 import sys
 
@@ -119,9 +119,12 @@ def _cmd_gen_rotated(args):
 
 
 def _cmd_split(args):
-    fracs = tuple(float(t) for t in args.fractions.split(","))
+    try:
+        fracs = tuple(float(t) for t in args.fractions.split(","))
+    except ValueError:
+        fracs = ()
     if len(fracs) != 3:
-        raise ConfigError("--fractions needs exactly three comma-separated values")
+        raise ConfigError("--fractions needs exactly three comma-separated numbers")
     os.makedirs(args.out, exist_ok=True)
     manifest = ingest_directory(args.data)
     train, val, test = split_manifest(manifest, fractions=fracs, seed=args.seed, out_dir=args.out)
@@ -137,7 +140,7 @@ def _cmd_run(args, overrides):
         raise ConfigError("config key 'data.root' is required for run")
     config = to_experiment_config(effective)
     os.makedirs(args.out, exist_ok=True)
-    lock_path = _acquire_lock(args.out)
+    lock_fd = _acquire_lock(args.out)
     try:
         if args.resume:  # a refused resume writes nothing
             read_state(args.out, config.config_hash())
@@ -146,76 +149,29 @@ def _cmd_run(args, overrides):
             config, args.out, resume=args.resume, stop_after_day=args.stop_after_day
         )
     finally:
-        os.remove(lock_path)
+        os.close(lock_fd)
     print(f"run {log.run_id}: {len(log.records)} metric records in {args.out}")
     return 0
 
 
-def _lock_owner_alive(path):
-    """False only when the lock names a pid that no longer exists."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            pid = int(f.read())
-    except (OSError, ValueError):
-        return True  # no pid to test, e.g. a lock made by hand: refuse rather than guess
-    if pid < 1:  # 0 and negative pids would address process groups
-        return True
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):
-        return False
-    except PermissionError:  # alive, owned by another user
-        pass
-    return True
-
-
-# link(2) errors of a file system that cannot make hard links (vfat, exFAT,
-# some network and FUSE mounts)
-_NO_HARD_LINKS = (errno.EPERM, errno.EOPNOTSUPP, errno.ENOTSUP, errno.ENOSYS)
-
-
-def _place_lock(tmp, path):
-    """Make `path` hold the pid in `tmp`; FileExistsError if it exists."""
-    try:
-        os.link(tmp, path)
-    except OSError as e:
-        if e.errno not in _NO_HARD_LINKS:
-            raise
-        # no hard links here: create the lock exclusively and write the pid
-        # after, so only on such a file system can a crash leave it empty
-        with open(path, "x", encoding="utf-8") as f:
-            f.write(f"{os.getpid()}\n")
-
-
 def _acquire_lock(out):
-    """Create `out`/lock holding this process's pid and return its path.
+    """Hold an exclusive flock on `out`/lock; return its descriptor.
 
-    The pid is written and synced to a temp file first, which is then
-    hard-linked to the lock name; the link fails if the lock exists. So
-    the lock holds its pid from the moment it appears, and a crash can
-    leave at most a stray temp file, never a lock without a pid. On a
-    file system without hard links the lock is created exclusively
-    instead. A lock left by a run that was killed (its pid is gone) is
-    taken over; a lock whose owner is alive, or that holds no pid,
-    refuses the run.
+    The kernel drops the lock when its holder exits, however it exits, so
+    a killed run never blocks the next one. The file itself is never
+    removed and means nothing without a holder: unlinking it would let one
+    invocation lock the old inode and another a new one. O_RDWR because
+    NFS emulates flock with POSIX locks, which need a writable descriptor.
     """
-    path = os.path.join(out, _LOCK_NAME)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(f"{os.getpid()}\n")
-        f.flush()
-        os.fsync(f.fileno())
+    fd = os.open(os.path.join(out, _LOCK_NAME), os.O_RDWR | os.O_CREAT, 0o666)
     try:
-        while True:
-            try:
-                _place_lock(tmp, path)
-                return path
-            except FileExistsError:
-                if _lock_owner_alive(path):
-                    raise UsageError(f"run directory {out} is locked by another invocation") from None
-                os.remove(path)
-    finally:
-        os.remove(tmp)
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as e:
+        os.close(fd)
+        if isinstance(e, BlockingIOError):
+            raise UsageError(f"run directory {out} is locked by another invocation") from None
+        raise
+    return fd
 
 
 def _cmd_evaluate(args):

@@ -202,8 +202,8 @@ def split_manifest(manifest: Manifest, fractions=(0.70, 0.10, 0.20), seed=0, out
 
     If out_dir is given, writes train.txt / val.txt / test.txt there.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
+    if not all(0.0 <= f <= 1.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"split fractions must lie in [0, 1] and sum to 1, got {fractions}")
     if len(manifest) == 0:
         raise ConfigError("cannot split an empty manifest")
     rng = substream(seed, "split")
@@ -450,6 +450,8 @@ def gen_synthetic(num_classes, per_class, size, noise_level, seed, out_root) -> 
     if per_class < 1:
         raise ConfigError("need at least 1 image per class")
     h, w = size if isinstance(size, tuple) else (size, size)
+    if h < 1 or w < 1:
+        raise ConfigError(f"image size must be >= 1, got {size}")
     width_digits = len(str(num_classes - 1))
     entries = []
     class_names = [f"c{k:0{width_digits}d}" for k in range(num_classes)]

@@ -174,6 +174,8 @@ def evaluate(model, x, labels, loss_kind, batch_size):
     n = len(x)
     if n == 0:
         raise UsageError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise UsageError(f"batch size must be >= 1, got {batch_size}")
     if x.shape[1:] != model.input_shape:
         raise DataError(f"images of shape {x.shape[1:]} for a model that takes {model.input_shape}")
     total_loss = 0.0
@@ -189,13 +191,12 @@ def evaluate(model, x, labels, loss_kind, batch_size):
 
 
 def _train_epoch(model, optimizer, config, cache, items, day, epoch):
-    """One seeded pass over (rel_path, label) items; returns (loss, acc, steps)."""
+    """One seeded pass over (rel_path, label) items; returns (loss, acc)."""
     order = substream(config.seed, "shuffle", day, epoch).permutation(len(items))
     draws = substream(config.seed, "aug", day, epoch).random((len(items), AUG_DRAWS))
     labels = np.array([label for _, label in items], dtype=np.int64)
     total_loss = 0.0
     correct = 0
-    steps = 0
     for batch in _batches(len(items), config.batch_size):
         picked = order[batch.start : batch.stop]
         pixels = np.stack([cache.image(items[i][0]).pixels for i in picked])
@@ -210,30 +211,25 @@ def _train_epoch(model, optimizer, config, cache, items, day, epoch):
         optimizer.step([p for _, p in model.parameters()], model.gradients())
         total_loss += loss * len(batch)
         correct += int((np.argmax(logits, axis=1) == y).sum())
-        steps += 1
-    return total_loss / len(items), correct / len(items), steps
+    return total_loss / len(items), correct / len(items)
 
 
 def _run_epochs(model, optimizer, config, cache, items, val_items, day, epochs, target=None):
     """Up to `epochs` epochs: each trains on `items` when there are any,
     validates on `val_items` and records a row; the loop stops after the
     epoch whose val_acc reaches `target`, when one is given. Day 0 is
-    pre-training. Returns (records, steps)."""
+    pre-training. Returns the records."""
     records = []
-    total_steps = 0
     for epoch in range(1, epochs + 1):
         train_loss = train_acc = None
         if items:
-            train_loss, train_acc, steps = _train_epoch(
-                model, optimizer, config, cache, items, day, epoch
-            )
-            total_steps += steps
+            train_loss, train_acc = _train_epoch(model, optimizer, config, cache, items, day, epoch)
         val_loss, val_acc = evaluate(model, *val_items, config.loss_kind, config.batch_size)
         phase = "pretrain" if day == 0 else "sequential"
         records.append(MetricsRecord(day, epoch, phase, train_loss, train_acc, val_loss, val_acc))
         if target is not None and val_acc >= target:
             break
-    return records, total_steps
+    return records
 
 
 def run_day(model, optimizer, config, cache, train_items, val_items, day):
@@ -242,7 +238,6 @@ def run_day(model, optimizer, config, cache, train_items, val_items, day):
     train_items: list of (rel_path, label); may be empty (strategy A
     day 1: zero steps, validation still runs).
     val_items: (x, labels) as `evaluate` takes them.
-    Returns (records, steps).
     """
     return _run_epochs(
         model, optimizer, config, cache, train_items, val_items, day, config.epochs_per_day
@@ -254,11 +249,10 @@ def pretrain(model, optimizer, config, cache, subset_items, val_items):
     val_items: (x, labels) as `evaluate` takes them."""
     if not subset_items:
         raise ConfigError("pre-training subset is empty")
-    records, _ = _run_epochs(
+    return _run_epochs(
         model, optimizer, config, cache, subset_items, val_items, 0,
         config.pretrain_epochs, config.pretrain_target,
     )
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +302,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     Writes metrics.csv, dayplan.txt, manifests, checkpoints, state.txt and
     run_meta.txt under out_dir. Returns the RunLog. A resumed run reads and
     checks state.txt before it writes anything, and goes on from the day
-    after the one it names; with no state.txt it starts from day 1.
+    after the one it names; with no state.txt it starts from day 1. A
+    fresh run removes state.txt before it writes anything.
     stop_after_day ends the run early with a checkpoint so it can be
     resumed.
     """
@@ -317,7 +312,16 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     t0 = time.time()
     cfg_hash = config.config_hash()
     run_id = cfg_hash[:8]
-    state = read_state(out_dir, cfg_hash) if resume else None
+    if resume:
+        state = read_state(out_dir, cfg_hash)
+    else:
+        # a fresh run over an old one: a kill before its first checkpoint
+        # must not leave the old state.txt for a resume to trust
+        state = None
+        try:
+            os.remove(os.path.join(out_dir, _STATE_FILE))
+        except FileNotFoundError:
+            pass
     os.makedirs(out_dir, exist_ok=True)
 
     manifest = ingest_directory(config.data_root)
@@ -388,7 +392,6 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         records = [r for r in old.records if r.day <= last_day]
     log = RunLog(run_id, records)
     write_metrics(log, metrics_path)
-    total_steps = 0
 
     for day in range(last_day + 1, len(plan) + 1):
         prev_batch = plan.batch(day - 1) if day > 1 else None
@@ -400,8 +403,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         else:
             rows = [rest_idx[i] for i in val_idx]
             day_val = (cache.stack(train_m.entries[i][0] for i in rows), labels_all[rows])
-        records, steps = run_day(model, optimizer, config, cache, train_items, day_val, day)
-        total_steps += steps
+        records = run_day(model, optimizer, config, cache, train_items, day_val, day)
         test_loss, test_acc = evaluate(model, *test_split, config.loss_kind, config.batch_size)
         records[-1].test_loss = test_loss
         records[-1].test_acc = test_acc
@@ -415,22 +417,22 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
             nn.checkpoint_save(model, optimizer, os.path.join(out_dir, ckpt_name))
             _write_state(out_dir, cfg_hash, day, ckpt_name)
         if stopping:
-            _write_meta(out_dir, config, run_id, cfg_hash, t0, total_steps, interrupted_at=day)
+            _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer.t, interrupted_at=day)
             return log
 
     nn.checkpoint_save(model, optimizer, os.path.join(out_dir, _FINAL_CKPT))
     _write_state(out_dir, cfg_hash, len(plan), _FINAL_CKPT)
-    _write_meta(out_dir, config, run_id, cfg_hash, t0, total_steps)
+    _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer.t)
     return log
 
 
-def _write_meta(out_dir, config, run_id, cfg_hash, t0, total_steps, interrupted_at=None):
+def _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer_steps, interrupted_at=None):
     # wall-clock lives only here; metrics/checkpoints stay byte-deterministic
     lines = [
         f"run_id={run_id}",
         f"config_hash={cfg_hash}",
         f"seed={config.seed}",
-        f"total_optimizer_steps={total_steps}",
+        f"total_optimizer_steps={optimizer_steps}",
         f"wall_clock_seconds={time.time() - t0:.3f}",
         "note=strategy B trains each day on half of the current day plus the half "
         "of the previous day that was held out for validation",

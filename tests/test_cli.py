@@ -1,17 +1,18 @@
 import builtins
 import dataclasses
-import errno
+import fcntl
 import os
 import pathlib
 import shutil
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from daylearn import config, data, metrics, nn
+from daylearn import cli, config, data, metrics, nn
 from daylearn.cli import dispatch
 from daylearn.config import (
     load_effective_config,
@@ -212,7 +213,7 @@ def test_run_evaluate_assess_plot_end_to_end(tmp_path, capsys):
     ])
     assert rc == 0
     assert (out / "effective_config.cfg").exists()
-    assert not (out / "lock").exists()
+    os.close(cli._acquire_lock(out))  # the run let its lock go
 
     rc = dispatch(["evaluate", "--checkpoint", str(out / "ckpt_final.bin"),
                    "--manifest", str(out / "test.txt"), "--data-root", str(dd),
@@ -230,18 +231,6 @@ def test_run_evaluate_assess_plot_end_to_end(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-def test_run_lock_file_blocks_concurrent_out(tmp_path, capsys):
-    dd = tmp_path / "data"
-    dispatch(["gen-synth", "--out", str(dd), "--classes", "2", "--per-class", "10",
-              "--size", "16", "--seed", "1"])
-    out = tmp_path / "r"
-    out.mkdir()
-    (out / "lock").touch()
-    rc = dispatch(["run", "--out", str(out), f"--data.root={dd}"])
-    assert rc == 2
-    assert "locked" in capsys.readouterr().err
-
-
 def _small_run_argv(tmp_path, out, days=2):
     dd = tmp_path / "data"
     if not dd.exists():
@@ -253,64 +242,95 @@ def _small_run_argv(tmp_path, out, days=2):
             "--protocol.checkpoint_every=1"]
 
 
-def test_run_takes_over_lock_of_dead_process(tmp_path):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # reaped: its pid names no live process
+def test_run_held_lock_blocks_concurrent_out(tmp_path, capsys):
+    # flock conflicts between two descriptors even within one process
     out = tmp_path / "r"
     out.mkdir()
-    (out / "lock").write_text(f"{child.pid}\n")
-    assert dispatch(_small_run_argv(tmp_path, out)) == 0
-    assert (out / "ckpt_final.bin").exists() and not (out / "lock").exists()
+    argv = _small_run_argv(tmp_path, out)
+    fd = os.open(out / "lock", os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert dispatch(argv) == 2
+        assert "locked" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+    finally:
+        os.close(fd)
+    assert dispatch(argv) == 0
 
 
-def test_run_refuses_lock_of_live_process(tmp_path, capsys):
-    out = tmp_path / "r"
-    out.mkdir()
-    (out / "lock").write_text(f"{os.getpid()}\n")
-    assert dispatch(_small_run_argv(tmp_path, out)) == 2
-    assert "locked" in capsys.readouterr().err
-    assert (out / "lock").read_text() == f"{os.getpid()}\n"
-    assert not (out / "metrics.csv").exists()
-
-
-@pytest.mark.parametrize("killed", ["before_link", "after_link"])
-def test_run_after_a_crash_while_taking_the_lock(tmp_path, killed):
-    # a process killed while taking the lock leaves either no lock or a lock
-    # naming its (now dead) pid; never a lock without a pid
-    out = tmp_path / "r"
-    out.mkdir()
-    link = "os._exit(9)" if killed == "before_link" else "(real(*a), os._exit(9))"
-    code = ("import os, sys\n"
-            "from daylearn import cli\n"
-            "real = os.link\n"
-            f"os.link = lambda *a: {link}\n"
-            "cli._acquire_lock(sys.argv[1])\n")
+def _lock_child(code, *args):
+    """A Python child running `code` with daylearn importable, its stdin
+    and stdout piped as text."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(data.__file__)))
-    child = subprocess.run([sys.executable, "-c", code, str(out)], env=env, timeout=60)
-    assert child.returncode == 9
-    lock = out / "lock"
-    if killed == "before_link":
-        assert not lock.exists()
-    else:
-        assert int(lock.read_text()) > 0  # the dead child's pid
-    assert dispatch(_small_run_argv(tmp_path, out)) == 0
-    assert (out / "ckpt_final.bin").exists() and not lock.exists()
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env, text=True,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
 
-def test_run_lock_without_hard_links(tmp_path, monkeypatch, capsys):
-    # a file system that refuses link(2) falls back to an exclusive create
-    def no_link(*a):
-        raise PermissionError(errno.EPERM, "Operation not permitted")
-
-    monkeypatch.setattr(os, "link", no_link)
+def test_run_lock_of_a_killed_process_frees_itself(tmp_path):
     out = tmp_path / "r"
-    assert dispatch(_small_run_argv(tmp_path, out)) == 0
-    assert (out / "ckpt_final.bin").exists()
-    assert sorted(p.name for p in out.iterdir() if "lock" in p.name) == []
+    out.mkdir()
+    argv = _small_run_argv(tmp_path, out)
+    child = _lock_child("import sys, time\n"
+                        "from daylearn import cli\n"
+                        "cli._acquire_lock(sys.argv[1])\n"
+                        "print('held', flush=True)\n"
+                        "time.sleep(60)\n", str(out))
+    try:
+        assert child.stdout.readline() == "held\n"
+        assert dispatch(argv) == 2
+    finally:
+        child.kill()  # SIGKILL: no handler or finally of the child runs
+        child.communicate()
+    assert dispatch(argv) == 0
+
+
+def test_run_leftover_lock_file_does_not_block(tmp_path):
+    # only a held lock blocks: a lock file alone, even one naming this
+    # live process, means nothing, and a run leaves its own behind
+    out = tmp_path / "r"
+    out.mkdir()
     (out / "lock").write_text(f"{os.getpid()}\n")
-    assert dispatch(_small_run_argv(tmp_path, out)) == 2
-    assert "locked" in capsys.readouterr().err
-    assert (out / "lock").read_text() == f"{os.getpid()}\n"
+    assert dispatch(_small_run_argv(tmp_path, out)) == 0
+    assert (out / "lock").exists()
+    assert dispatch(_small_run_argv(tmp_path, out)) == 0
+
+
+def test_run_lock_race_has_exactly_one_winner(tmp_path):
+    # 6 processes race for a directory whose lock a dead process left; a
+    # winner never closes its descriptor, so it holds the lock until it exits
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()  # reaped: its pid names no live process
+    code = ("import sys, time\n"
+            "from daylearn import cli\n"
+            "from daylearn.errors import UsageError\n"
+            "print('ready', flush=True)\n"
+            "for line in sys.stdin:\n"
+            "    out, start = line.split()\n"
+            "    time.sleep(max(0.0, float(start) - time.time()))\n"
+            "    try:\n"
+            "        cli._acquire_lock(out)\n"
+            "        print('won', flush=True)\n"
+            "    except UsageError:\n"
+            "        print('locked', flush=True)\n")
+    children = [_lock_child(code) for _ in range(6)]
+    try:
+        assert [child.stdout.readline() for child in children] == ["ready\n"] * 6
+        for trial in range(3):
+            out = tmp_path / f"r{trial}"
+            out.mkdir()
+            (out / "lock").write_text(f"{dead.pid}\n")
+            start = time.time() + 0.2  # all 6 try at this instant
+            for child in children:
+                child.stdin.write(f"{out} {start}\n")
+                child.stdin.flush()
+            results = sorted(child.stdout.readline() for child in children)
+            assert results == ["locked\n"] * 5 + ["won\n"], trial
+    finally:
+        for child in children:
+            child.stdin.close()
+        for child in children:
+            child.wait(timeout=60)
+            child.stdout.close()
 
 
 class _Crash(Exception):
@@ -367,14 +387,16 @@ def _run_writes(monkeypatch, crash=lambda n, target, after: False):
     return points, others
 
 
-def _assert_same_run(a, b):
+def _assert_same_run(a, b, where=None):
     for name in ("metrics.csv", "ckpt_final.bin", "state.txt"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert (a / name).read_bytes() == (b / name).read_bytes(), (name, where)
 
 
 def test_crash_before_or_after_any_write_resumes_byte_identical(tmp_path, monkeypatch):
     # a 4-day run that pre-trains and saves every day; each of its writes
-    # is a crash point, and so is the first write of the resume after it
+    # is a crash point, and so is the first write of the resume after it.
+    # The crashed run starts either in a new directory or over a finished
+    # run of the same config, whose state.txt must not outlive the restart
     def argv(out):
         return _small_run_argv(tmp_path, out, days=4) + [
             "--protocol.pretrain_size=8", "--protocol.pretrain_epochs=2"]
@@ -388,19 +410,23 @@ def test_crash_before_or_after_any_write_resumes_byte_identical(tmp_path, monkey
     # every other write goes to a temp file that an os.replace then moves
     # over the old one, so a kill in the middle of it leaves that file whole
     assert others and all(path.endswith(".tmp") for path in others)
-    for n in range(len(points)):
-        for after in (False, True):
-            out = tmp_path / "crashed"
-            _run_writes(monkeypatch, lambda i, target, a: (i, a) == (n, after))
-            with pytest.raises(_Crash):
-                dispatch(argv(out))
-            _run_writes(monkeypatch, lambda i, target, a: (i, a) == (0, after))
-            with pytest.raises(_Crash):
-                dispatch(argv(out) + ["--resume"])
-            monkeypatch.undo()
-            assert dispatch(argv(out) + ["--resume"]) == 0, (points[n], after)
-            _assert_same_run(full, out)
-            shutil.rmtree(out)
+    for over_finished in (False, True):
+        for n in range(len(points)):
+            for after in (False, True):
+                out = tmp_path / "crashed"
+                if over_finished:
+                    shutil.copytree(full, out)
+                _run_writes(monkeypatch, lambda i, target, a: (i, a) == (n, after))
+                with pytest.raises(_Crash):
+                    dispatch(argv(out))
+                _run_writes(monkeypatch, lambda i, target, a: (i, a) == (0, after))
+                with pytest.raises(_Crash):
+                    dispatch(argv(out) + ["--resume"])
+                monkeypatch.undo()
+                where = (over_finished, points[n], after)
+                assert dispatch(argv(out) + ["--resume"]) == 0, where
+                _assert_same_run(full, out, where)
+                shutil.rmtree(out)
 
 
 @pytest.mark.parametrize("name", ["dayplan.txt", "test.txt", "effective_config.cfg", "run_meta.txt",
@@ -434,6 +460,21 @@ def test_kill_while_appending_metrics_resumes_byte_identical(tmp_path):
     _assert_same_run(full, crashed)
 
 
+def test_run_meta_counts_every_optimizer_step(tmp_path):
+    # pre-training steps and the steps before a resume count too
+    full, resumed = tmp_path / "full", tmp_path / "resumed"
+    pretrain = ["--protocol.pretrain_size=8", "--protocol.pretrain_epochs=2"]
+    assert dispatch(_small_run_argv(tmp_path, full, days=4) + pretrain) == 0
+    argv = _small_run_argv(tmp_path, resumed, days=4) + pretrain
+    assert dispatch(argv + ["--stop-after-day", "2"]) == 0
+    assert dispatch(argv + ["--resume"]) == 0
+    _, optimizer = nn.checkpoint_load(str(full / "ckpt_final.bin"))
+    assert optimizer.t > 4  # more than the 4 day steps
+    for out in (full, resumed):
+        meta = (out / "run_meta.txt").read_text().splitlines()
+        assert f"total_optimizer_steps={optimizer.t}" in meta
+
+
 def test_resume_after_moving_the_data_directory(tmp_path):
     full, moved = tmp_path / "full", tmp_path / "moved"
     assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
@@ -459,6 +500,30 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     assert "may also predate the canonical config hash" in err
     # a refused resume writes nothing, not even its own effective config
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("command,args,prefix", [
+    ("evaluate", ["--batch-size", "0"], "USAGE_ERROR: batch size"),
+    ("evaluate", ["--batch-size", "-4"], "USAGE_ERROR: batch size"),
+    ("split", ["--fractions", "a,b,c"], "CONFIG_ERROR: --fractions"),
+    ("split", ["--fractions", "nan,nan,nan"], "CONFIG_ERROR: split fractions"),
+    ("split", ["--fractions", "1.5,-0.25,-0.25"], "CONFIG_ERROR: split fractions"),
+    ("gen-synth", ["--size", "-3"], "CONFIG_ERROR: image size"),
+], ids=["batch_0", "batch_negative", "fractions_not_numbers", "fractions_nan",
+        "fractions_negative", "size_negative"])
+def test_bad_numeric_argument_is_a_typed_error(tmp_path, capsys, command, args, prefix):
+    dd = tmp_path / "data"
+    data.gen_synthetic(2, 4, 8, 0.05, 0, str(dd))
+    ckpt = tmp_path / "model.bin"
+    model = nn.Model(parse_layers("conv:2:3:1:1,relu,pool:2,flatten,dense:2", 8), (1, 8, 8))
+    nn.checkpoint_save(model, nn.Adam(1e-3), str(ckpt))
+    paths = {
+        "evaluate": ["--checkpoint", str(ckpt), "--manifest", str(dd / "manifest.txt")],
+        "split": ["--data", str(dd), "--out", str(tmp_path / "split")],
+        "gen-synth": ["--out", str(tmp_path / "synth")],
+    }
+    assert dispatch([command, *paths[command], *args]) == 2
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_exit_code_data_error(tmp_path, capsys):
