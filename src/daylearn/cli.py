@@ -74,8 +74,8 @@ def _build_parser():
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--loss", default="softmax_ce", choices=list(nn.LOSS_KINDS))
     sp.add_argument("--batch-size", type=int, default=16)
-    sp.add_argument("--norm-mean", type=float, default=None)
-    sp.add_argument("--norm-std", type=float, default=None)
+    sp.add_argument("--norm-mean", type=float, default=NormalizationSpec.mean)
+    sp.add_argument("--norm-std", type=float, default=NormalizationSpec.std)
     sp.add_argument("--data-root", default=None,
                     help="image root (default: the manifest's directory)")
 
@@ -133,6 +133,8 @@ def _cmd_split(args):
 
 
 def _cmd_run(args, overrides):
+    if args.stop_after_day is not None and args.stop_after_day < 1:
+        raise UsageError(f"--stop-after-day must be >= 1, got {args.stop_after_day}")
     if args.seed is not None:
         overrides = list(overrides) + [f"protocol.seed={args.seed}"]
     effective = load_effective_config(args.config, overrides)
@@ -177,9 +179,7 @@ def _acquire_lock(out):
 def _cmd_evaluate(args):
     model, _ = nn.checkpoint_load(args.checkpoint)
     manifest = manifest_read(args.manifest)
-    mean = args.norm_mean if args.norm_mean is not None else NormalizationSpec().mean
-    std = args.norm_std if args.norm_std is not None else NormalizationSpec().std
-    spec = NormalizationSpec(mean, std)
+    spec = NormalizationSpec(args.norm_mean, args.norm_std)
     root = args.data_root or os.path.dirname(os.path.abspath(args.manifest))
     x, labels = load_split(root, manifest, spec, model.input_shape[1:])
     loss, acc = evaluate_model(model, x, labels, args.loss, args.batch_size)
@@ -207,6 +207,8 @@ def _cmd_plot(args):
 
 
 def _cmd_grad_check(args):
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     # every layer kind in one small stack
     specs = nn.parse_layers("conv:2:3:1:1,relu,pool:2,conv:3:3:1:0,relu,flatten,dense:3", 8)
     worst = 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import fields
 
-from .data import AugmentConfig, NormalizationSpec, replacing_open
+from .data import AugmentConfig, NormalizationSpec, read_text, replacing_open
 from .errors import ConfigError
 from .metrics import DetectorConfig
 from .nn import parse_layers
@@ -100,15 +100,14 @@ def load_effective_config(path=None, overrides=(), env=None):
         if env_key in env:
             _apply(effective, key, env[env_key], f"environment {env_key}")
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            for ln, line in enumerate(f.read().splitlines(), start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-                key, _, raw = stripped.partition("=")
-                _apply(effective, key.strip(), raw, f"{path}:{ln}")
+        for ln, line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
+            key, _, raw = stripped.partition("=")
+            _apply(effective, key.strip(), raw, f"{path}:{ln}")
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} must look like key=value")

@@ -158,9 +158,21 @@ def manifest_write(manifest: Manifest, path):
             f.write(f"{p}\t{label}\n")
 
 
-def manifest_read(path) -> Manifest:
+def read_text(path, error=DataError):
+    """The text of a UTF-8 file; else `error` naming `path`. A NUL, which
+    no text file here holds and no path may contain, is an error too."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    if "\0" in text:
+        raise error(f"{path}: not text (NUL at character {text.index(chr(0))})")
+    return text
+
+
+def manifest_read(path) -> Manifest:
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("#classes:\t"):
         raise DataError(f"{path}: missing '#classes:' header line")
     class_names = lines[0].split("\t", 1)[1].split(",")
@@ -290,9 +302,10 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.hflip_probability <= 1.0:
             raise ConfigError("hflip_probability must be in [0,1]")
-        magnitudes = (self.rotation_degrees, self.translate_fraction, self.jitter_fraction)
-        if not all(m >= 0 for m in magnitudes):  # also rejects NaN
-            raise ConfigError("augmentation magnitudes must be >= 0")
+        if not 0 <= self.rotation_degrees < math.inf:  # also rejects NaN
+            raise ConfigError("rotation_degrees must be finite and >= 0")
+        if not (0 <= self.translate_fraction <= 1 and 0 <= self.jitter_fraction <= 1):
+            raise ConfigError("translate_fraction and jitter_fraction must be in [0,1]")
 
 
 AUGMENT_OFF = AugmentConfig(0.0, 0.0, 0.0, 0.0)
@@ -389,8 +402,10 @@ class NormalizationSpec:
     std: float = GRAY_STD
 
     def __post_init__(self):
-        if not self.std > 0:
-            raise ConfigError("normalization std must be > 0")
+        if not math.isfinite(self.mean):
+            raise ConfigError("normalization mean must be finite")
+        if not 0 < self.std < math.inf:
+            raise ConfigError("normalization std must be finite and > 0")
 
 
 @functools.lru_cache(maxsize=16)

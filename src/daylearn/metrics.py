@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import replacing_open
+from .data import read_text, replacing_open
 from .errors import DataError, UsageError
 
 PHASES = ("pretrain", "sequential")
@@ -85,8 +85,7 @@ def append_metrics(run_id, records, path):
 def read_metrics(path, drop_unterminated=False) -> RunLog:
     """Parse metrics.csv. drop_unterminated skips a last line with no
     newline, which a kill during an append leaves behind."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    text = read_text(path)
     lines = text.splitlines()
     if drop_unterminated and not text.endswith("\n"):
         lines = lines[:-1]
@@ -129,7 +128,7 @@ class DetectorConfig:
     def __post_init__(self):
         if self.window < 2:
             raise UsageError("detector window must be >= 2")
-        if self.slope_tolerance < 0 or self.variance_tolerance < 0:
+        if not (self.slope_tolerance >= 0 and self.variance_tolerance >= 0):  # also rejects NaN
             raise UsageError("tolerances must be >= 0")
         if not 0 < self.spike_drop <= 1:
             raise UsageError("spike_drop must be in (0,1]")

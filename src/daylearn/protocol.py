@@ -27,6 +27,7 @@ from .data import (
     ingest_directory,
     normalize,
     pgm_read,
+    read_text,
     replacing_open,
     split_manifest,
 )
@@ -75,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("batch_size, total_days and n_per_day must be >= 1")
         if self.epochs_per_day < 1 or self.pretrain_epochs < 1:
             raise ConfigError("epoch counts must be >= 1")
+        if self.pretrain_size < 0:
+            raise ConfigError("pretrain_size must be >= 0")
         if not self.learning_rate > 0:  # also rejects NaN
             raise ConfigError("learning_rate must be > 0")
         if self.strategy not in STRATEGIES:
@@ -122,45 +125,41 @@ def build_model(config: ExperimentConfig, dtype=np.float32):
     return nn.Model(config.layers, shape, seed=config.seed, dtype=dtype)
 
 
-def _decode(root, rel_path, shape):
-    """The image at `rel_path` under `root`; DataError unless it is
-    `shape` (height, width) pixels, as every image of a run must be."""
-    image = pgm_read(os.path.join(root, rel_path))
-    if image.pixels.shape != shape:
-        raise DataError(
-            f"{rel_path}: image is {image.width}x{image.height}, expected {shape[1]}x{shape[0]}"
-        )
-    return image
-
-
 class DatasetCache:
-    """Loads PGM files once; serves raw images and normalized stacks."""
+    """The images of one split: one uint8 (N, H, W) stack whose row i is
+    manifest entry i, each row decoded on first use, plus the entries'
+    class indices as `labels`."""
 
-    def __init__(self, root, norm: NormalizationSpec, shape):
+    def __init__(self, root, manifest, shape):
         self.root = root
-        self.norm = norm
-        self.shape = shape
-        self._images = {}
+        self.paths = [rel for rel, _ in manifest.entries]
+        self.labels = manifest.labels_as_indices()
+        self.pixels = np.empty((len(self.paths),) + tuple(shape), dtype=np.uint8)
+        self.loaded = np.zeros(len(self.paths), dtype=bool)
 
-    def image(self, rel_path):
-        if rel_path not in self._images:
-            self._images[rel_path] = _decode(self.root, rel_path, self.shape)
-        return self._images[rel_path]
-
-    def stack(self, rel_paths):
-        """The images as one normalized [n, 1, H, W] array."""
-        return normalize(np.stack([self.image(rel).pixels for rel in rel_paths]), self.norm)
+    def take(self, rows):
+        """pixels[rows], decoding the rows not loaded yet; DataError for an
+        image that is not `shape` (height, width) pixels, as every image of
+        a run must be."""
+        rows = np.asarray(rows, dtype=np.intp)
+        h, w = self.pixels.shape[1:]
+        for i in rows[~self.loaded[rows]].tolist():
+            image = pgm_read(os.path.join(self.root, self.paths[i]))
+            if image.pixels.shape != (h, w):
+                raise DataError(f"{self.paths[i]}: image is {image.width}x{image.height}, expected {w}x{h}")
+            self.pixels[i] = image.pixels
+            self.loaded[i] = True
+        return self.pixels[rows]
 
 
 def load_split(root, manifest, norm, shape):
     """An evaluation split of `shape` (height, width) images as (x, labels):
-    each image decoded once into a uint8 stack, normalized into one
-    [N, 1, H, W] float32 array. Nothing is cached, so the images are kept
-    once, as `x`."""
+    every image decoded once, normalized into one [N, 1, H, W] float32
+    array."""
     if not manifest.entries:
         raise UsageError("cannot evaluate on an empty dataset")
-    pixels = np.stack([_decode(root, rel, shape).pixels for rel, _ in manifest.entries])
-    return normalize(pixels, norm), manifest.labels_as_indices()
+    cache = DatasetCache(root, manifest, shape)
+    return normalize(cache.take(np.arange(len(manifest))), norm), cache.labels
 
 
 def _batches(n, batch_size):
@@ -191,17 +190,17 @@ def evaluate(model, x, labels, loss_kind, batch_size):
 
 
 def _train_epoch(model, optimizer, config, cache, items, day, epoch):
-    """One seeded pass over (rel_path, label) items; returns (loss, acc)."""
+    """One seeded pass over the `cache` rows `items`; returns (loss, acc)."""
     order = substream(config.seed, "shuffle", day, epoch).permutation(len(items))
     draws = substream(config.seed, "aug", day, epoch).random((len(items), AUG_DRAWS))
-    labels = np.array([label for _, label in items], dtype=np.int64)
     total_loss = 0.0
     correct = 0
     for batch in _batches(len(items), config.batch_size):
         picked = order[batch.start : batch.stop]
-        pixels = np.stack([cache.image(items[i][0]).pixels for i in picked])
-        x = normalize(augment_image(pixels, config.augment, draws[picked]), config.norm, dtype=model.dtype)
-        y = labels[picked]
+        rows = items[picked]
+        pixels = augment_image(cache.take(rows), config.augment, draws[picked])
+        x = normalize(pixels, config.norm, dtype=model.dtype)
+        y = cache.labels[rows]
         logits = model.forward(x)
         targets = nn.targets_for(config.loss_kind, y, model.num_classes, dtype=model.dtype)
         loss, glogits = nn.loss_forward_backward(config.loss_kind, logits, targets)
@@ -215,14 +214,14 @@ def _train_epoch(model, optimizer, config, cache, items, day, epoch):
 
 
 def _run_epochs(model, optimizer, config, cache, items, val_items, day, epochs, target=None):
-    """Up to `epochs` epochs: each trains on `items` when there are any,
+    """Up to `epochs` epochs: each trains on the rows `items` when there are any,
     validates on `val_items` and records a row; the loop stops after the
     epoch whose val_acc reaches `target`, when one is given. Day 0 is
     pre-training. Returns the records."""
     records = []
     for epoch in range(1, epochs + 1):
         train_loss = train_acc = None
-        if items:
+        if len(items):
             train_loss, train_acc = _train_epoch(model, optimizer, config, cache, items, day, epoch)
         val_loss, val_acc = evaluate(model, *val_items, config.loss_kind, config.batch_size)
         phase = "pretrain" if day == 0 else "sequential"
@@ -235,7 +234,7 @@ def _run_epochs(model, optimizer, config, cache, items, val_items, day, epochs, 
 def run_day(model, optimizer, config, cache, train_items, val_items, day):
     """Day-epochs over one day's training set plus per-epoch validation.
 
-    train_items: list of (rel_path, label); may be empty (strategy A
+    train_items: int array of rows of `cache`; may be empty (strategy A
     day 1: zero steps, validation still runs).
     val_items: (x, labels) as `evaluate` takes them.
     """
@@ -246,8 +245,9 @@ def run_day(model, optimizer, config, cache, train_items, val_items, day):
 
 def pretrain(model, optimizer, config, cache, subset_items, val_items):
     """Epoch-capped pre-training with early stop at the target accuracy.
+    subset_items: int array of rows of `cache`.
     val_items: (x, labels) as `evaluate` takes them."""
-    if not subset_items:
+    if not len(subset_items):
         raise ConfigError("pre-training subset is empty")
     return _run_epochs(
         model, optimizer, config, cache, subset_items, val_items, 0,
@@ -278,12 +278,11 @@ def read_state(out_dir, config_hash):
     run starts from day 1. Refuses a state saved under another config."""
     path = os.path.join(out_dir, _STATE_FILE)
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            kv = dict(line.partition("=")[::2] for line in f.read().splitlines())
+        kv = dict(line.partition("=")[::2] for line in read_text(path, CheckpointError).splitlines())
         saved_hash, last_day, ckpt_name = kv["config_hash"], int(kv["last_day"]), kv["checkpoint"]
     except FileNotFoundError:
         return None
-    except (KeyError, ValueError):  # UnicodeDecodeError is a ValueError
+    except (KeyError, ValueError):
         raise CheckpointError(
             f"corrupt run state {path}: needs config_hash, integer last_day and checkpoint"
         ) from None
@@ -331,35 +330,24 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         manifest, fractions=config.split_fractions, seed=config.seed, out_dir=out_dir
     )
     shape = (config.image_size, config.image_size)
-    cache = DatasetCache(config.data_root, config.norm, shape)
-
-    labels_all = train_m.labels_as_indices()
+    cache = DatasetCache(config.data_root, train_m, shape)
 
     # pre-training subset is carved out before day planning; with
     # pretrain_size 0 it is empty and the rest is the whole train split
     if config.pretrain_size > len(train_m):
         raise ConfigError(f"pretrain_size {config.pretrain_size} exceeds train split {len(train_m)}")
     perm = substream(config.seed, "pretrain_subset").permutation(len(train_m))
-    subset_idx = sorted(int(i) for i in perm[: config.pretrain_size])
-    rest_idx = sorted(int(i) for i in perm[config.pretrain_size :])
+    subset_idx = np.sort(perm[: config.pretrain_size])
+    rest_idx = np.sort(perm[config.pretrain_size :])
 
-    plan = plan_days(
-        len(rest_idx),
-        config.n_per_day,
-        config.total_days,
-        config.seed,
-        allow_short_final=config.allow_short_final,
-    )
+    plan = plan_days(len(rest_idx), config.n_per_day, config.total_days, config.seed,
+                     allow_short_final=config.allow_short_final)
     dayplan_write(plan, os.path.join(out_dir, _DAYPLAN_FILE))
-
-    def day_items(indices):
-        # (rel_path, label) per train-manifest index
-        return [(train_m.entries[i][0], int(labels_all[i])) for i in indices]
 
     # the global validation split is read only by pre-training, which a run
     # with a state has done, and by the global strategy; a run that needs
     # neither never loads it
-    reads_val = (subset_idx and state is None) or config.strategy in GLOBAL_VAL_STRATEGIES
+    reads_val = (len(subset_idx) > 0 and state is None) or config.strategy in GLOBAL_VAL_STRATEGIES
     val_split = load_split(config.data_root, val_m, config.norm, shape) if reads_val else None
     test_split = load_split(config.data_root, test_m, config.norm, shape)
 
@@ -372,17 +360,11 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
                 f"model emits {model.num_classes} logits but the dataset has "
                 f"{len(train_m.class_names)} classes"
             )
-        optimizer = nn.make_optimizer(
-            config.optimizer_kind,
-            config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.epsilon,
-            momentum=config.momentum,
-        )
+        optimizer = nn.make_optimizer(config.optimizer_kind, config.learning_rate, beta1=config.beta1,
+                                      beta2=config.beta2, epsilon=config.epsilon, momentum=config.momentum)
         records = []
-        if subset_idx:
-            records = pretrain(model, optimizer, config, cache, day_items(subset_idx), val_split)
+        if len(subset_idx):
+            records = pretrain(model, optimizer, config, cache, subset_idx, val_split)
     else:
         last_day, ckpt_name = state
         model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
@@ -397,13 +379,12 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         prev_batch = plan.batch(day - 1) if day > 1 else None
         curr_batch = plan.batch(day)
         train_idx, val_idx = day_split(config.strategy, day, prev_batch, curr_batch, config.seed)
-        train_items = day_items(rest_idx[i] for i in train_idx)
         if val_idx is None:
             day_val = val_split
         else:
-            rows = [rest_idx[i] for i in val_idx]
-            day_val = (cache.stack(train_m.entries[i][0] for i in rows), labels_all[rows])
-        records = run_day(model, optimizer, config, cache, train_items, day_val, day)
+            rows = rest_idx[val_idx]
+            day_val = (normalize(cache.take(rows), config.norm), cache.labels[rows])
+        records = run_day(model, optimizer, config, cache, rest_idx[train_idx], day_val, day)
         test_loss, test_acc = evaluate(model, *test_split, config.loss_kind, config.batch_size)
         records[-1].test_loss = test_loss
         records[-1].test_acc = test_acc

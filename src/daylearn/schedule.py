@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import replacing_open
+from .data import read_text, replacing_open
 from .errors import ConfigError, DataError, UsageError
 from .rng import substream
 
@@ -66,8 +66,7 @@ def dayplan_write(plan: DayPlan, path):
 
 
 def dayplan_read(path) -> DayPlan:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("#n_per_day:\t"):
         raise DataError(f"{path}: missing '#n_per_day:' header")
     n_per_day = int(lines[0].split("\t", 1)[1])

@@ -509,8 +509,19 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     ("split", ["--fractions", "nan,nan,nan"], "CONFIG_ERROR: split fractions"),
     ("split", ["--fractions", "1.5,-0.25,-0.25"], "CONFIG_ERROR: split fractions"),
     ("gen-synth", ["--size", "-3"], "CONFIG_ERROR: image size"),
+    ("run", ["--protocol.pretrain_size=-34"], "CONFIG_ERROR: pretrain_size must be >= 0"),
+    ("run", ["--data.jitter=inf"], "CONFIG_ERROR: translate_fraction and jitter_fraction"),
+    ("run", ["--data.rotate_degrees=inf"], "CONFIG_ERROR: rotation_degrees must be finite"),
+    ("run", ["--data.translate=1e300"], "CONFIG_ERROR: translate_fraction and jitter_fraction"),
+    ("evaluate", ["--norm-mean", "nan"], "CONFIG_ERROR: normalization mean must be finite"),
+    ("assess", ["--detectors.slope_tol=nan"], "USAGE_ERROR: tolerances"),
+    ("assess", ["--detectors.var_tol=nan"], "USAGE_ERROR: tolerances"),
+    ("run", ["--stop-after-day", "0"], "USAGE_ERROR: --stop-after-day must be >= 1"),
+    ("grad-check", ["--seeds", "0"], "USAGE_ERROR: --seeds must be >= 1"),
 ], ids=["batch_0", "batch_negative", "fractions_not_numbers", "fractions_nan",
-        "fractions_negative", "size_negative"])
+        "fractions_negative", "size_negative", "pretrain_size_negative", "jitter_inf",
+        "rotate_inf", "translate_huge", "norm_mean_nan", "slope_tol_nan", "var_tol_nan",
+        "stop_after_day_0", "grad_check_seeds_0"])
 def test_bad_numeric_argument_is_a_typed_error(tmp_path, capsys, command, args, prefix):
     dd = tmp_path / "data"
     data.gen_synthetic(2, 4, 8, 0.05, 0, str(dd))
@@ -521,9 +532,36 @@ def test_bad_numeric_argument_is_a_typed_error(tmp_path, capsys, command, args, 
         "evaluate": ["--checkpoint", str(ckpt), "--manifest", str(dd / "manifest.txt")],
         "split": ["--data", str(dd), "--out", str(tmp_path / "split")],
         "gen-synth": ["--out", str(tmp_path / "synth")],
+        "run": _small_run_argv(tmp_path, tmp_path / "r")[1:],
+        "assess": ["--run", str(tmp_path / "r")],
+        "grad-check": [],
     }
     assert dispatch([command, *paths[command], *args]) == 2
     assert capsys.readouterr().err.startswith(prefix)
+    assert not (tmp_path / "r").exists()  # a rejected run writes nothing
+
+
+@pytest.mark.parametrize("name,argv,prefix,code", [
+    ("metrics.csv", ["assess", "--run", "{dir}"], "DATA_ERROR", 3),
+    ("metrics.csv", ["plot", "--run", "{dir}", "--out", "{dir}/acc.svg"], "DATA_ERROR", 3),
+    ("c.cfg", ["run", "--config", "{path}", "--out", "{dir}/r"], "CONFIG_ERROR", 2),
+    ("c.cfg", ["assess", "--config", "{path}", "--run", "{dir}"], "CONFIG_ERROR", 2),
+    ("manifest.txt", ["gen-rotated", "--manifest", "{path}", "--out", "{dir}/rot"], "DATA_ERROR", 3),
+], ids=["assess_metrics", "plot_metrics", "run_config", "assess_config", "gen_rotated_manifest"])
+def test_undecodable_text_file_is_a_typed_error(tmp_path, capsys, name, argv, prefix, code):
+    path = tmp_path / name
+    path.write_bytes("schedule.days = 3\n".encode("utf-16"))  # starts \xff\xfe
+    argv = [a.format(dir=tmp_path, path=path) for a in argv]
+    assert dispatch(argv) == code
+    assert capsys.readouterr().err.startswith(f"{prefix}: {path}: not UTF-8 text")
+
+
+def test_python_m_daylearn_runs_the_cli_without_warnings():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(data.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "daylearn", "grad-check", "--seeds", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and "grad-check: OK" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_exit_code_data_error(tmp_path, capsys):

@@ -417,12 +417,12 @@ def test_tracer_hooks_outside_nn_keep_their_contract(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, attr, shim)
 
     def run_day_args(args, result):
-        # run_day(model, optimizer, config, cache, train_items, val_items, day)
+        # run_day(model, optimizer, config, cache, train_rows, val_items, day)
         assert len(args) == 7 and isinstance(args[6], int)
         assert len(args[4]) * args[2].epochs_per_day >= 0
 
     def pretrain_args(args, records):
-        # pretrain(model, optimizer, config, cache, subset_items, val_items)
+        # pretrain(model, optimizer, config, cache, subset_rows, val_items)
         assert len(args) == 6 and len(args[4]) * len(records) > 0
 
     def returns_image(args, result):
@@ -433,7 +433,7 @@ def test_tracer_hooks_outside_nn_keep_their_contract(tmp_path, monkeypatch):
     hook(protocol, "pgm_read", returns_image)
     for attr in ("normalize", "ingest_directory", "split_manifest", "evaluate", "augment_image"):
         hook(protocol, attr)
-    hook(protocol.DatasetCache, "image")
+    hook(protocol.DatasetCache, "take")
     hook(cli, "evaluate_model")
 
     root = str(tmp_path / "data")
@@ -447,7 +447,7 @@ def test_tracer_hooks_outside_nn_keep_their_contract(tmp_path, monkeypatch):
     assert cli.dispatch(["evaluate", "--checkpoint", str(tmp_path / "run" / "ckpt_final.bin"),
                          "--manifest", str(tmp_path / "run" / "test.txt"), "--data-root", root]) == 0
     assert set(seen) == {"run_day", "pretrain", "pgm_read", "normalize", "ingest_directory",
-                         "split_manifest", "evaluate", "augment_image", "image", "evaluate_model"}
+                         "split_manifest", "evaluate", "augment_image", "take", "evaluate_model"}
 
 
 @pytest.mark.parametrize("layers,size", ORDER_STACKS)

@@ -8,7 +8,8 @@ import pytest
 from daylearn import nn, protocol
 from daylearn.config import parse_layers
 from daylearn.data import (
-    AUG_DRAWS, AugmentConfig, augment_batch, gen_synthetic, manifest_read, normalize,
+    AUG_DRAWS, AugmentConfig, NormalizationSpec, augment_batch, gen_synthetic, manifest_read,
+    normalize, pgm_read,
 )
 from daylearn.errors import ConfigError, DataError, UsageError
 from daylearn.metrics import read_metrics
@@ -114,8 +115,7 @@ def test_evaluate_split_array_matches_per_item_path(dataset):
     model = build_model(config)
     split = manifest_read(os.path.join(dataset, "manifest.txt")).subset(range(0, 120, 3))
     x, labels = protocol.load_split(dataset, split, config.norm, (16, 16))
-    cache = DatasetCache(dataset, config.norm, (16, 16))
-    items = [(normalize(cache.image(rel), config.norm), int(y))
+    items = [(normalize(pgm_read(os.path.join(dataset, rel)), config.norm), int(y))
              for (rel, _), y in zip(split.entries, labels)]
     assert x.tobytes() == np.stack([t for t, _ in items]).tobytes()
     for loss_kind in nn.LOSS_KINDS:
@@ -321,8 +321,8 @@ def test_one_aug_stream_per_epoch(dataset, tmp_path, monkeypatch):
 
 def test_draw_row_belongs_to_the_item_not_its_batch_slot(dataset, monkeypatch):
     cfg = small_config(dataset, batch_size=4)
-    cache = DatasetCache(dataset, cfg.norm, (16, 16))
-    items = [(rel, 0) for rel, _ in manifest_read(os.path.join(dataset, "manifest.txt")).entries[:10]]
+    cache = DatasetCache(dataset, manifest_read(os.path.join(dataset, "manifest.txt")), (16, 16))
+    items = np.arange(20, 0, -2)  # rows of the cache, neither sorted nor from 0
     seen = []
 
     def recording(pixels, config, draws):
@@ -335,7 +335,7 @@ def test_draw_row_belongs_to_the_item_not_its_batch_slot(dataset, monkeypatch):
     table = protocol.substream(cfg.seed, "aug", 2, 3).random((len(items), AUG_DRAWS))
     assert len(seen) == len(items)
     for px, row in seen:
-        i = next(i for i, (rel, _) in enumerate(items) if np.array_equal(cache.image(rel).pixels, px))
+        i = next(i for i, r in enumerate(items) if np.array_equal(cache.take([r])[0], px))
         assert row.tobytes() == table[i].tobytes()
 
 
@@ -344,16 +344,26 @@ def test_draw_row_belongs_to_the_item_not_its_batch_slot(dataset, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_dataset_cache_loads_once(dataset):
-    from daylearn.data import NormalizationSpec, manifest_read
+def test_dataset_cache_loads_once(dataset, monkeypatch):
+    m = manifest_read(os.path.join(dataset, "manifest.txt")).subset(range(0, 120, 20))
+    rels = [rel for rel, _ in m.entries]
+    reads = []
 
-    cache = DatasetCache(dataset, NormalizationSpec(), (16, 16))
-    m = manifest_read(os.path.join(dataset, "manifest.txt"))
-    rels = [rel for rel, _ in m.entries[:3]]
-    first = cache.image(rels[0])
-    x = cache.stack(rels)
-    assert cache.image(rels[0]) is first
+    def counting(path):
+        reads.append(os.path.relpath(path, dataset))
+        return pgm_read(path)
+
+    monkeypatch.setattr(protocol, "pgm_read", counting)
+    cache = DatasetCache(dataset, m, (16, 16))
+    first = cache.take([0, 2])
+    again = cache.take(np.array([2, 0, 1]))
+    assert reads == [rels[0], rels[2], rels[1]]  # each image decodes once, on first use
+    assert first.shape == (2, 16, 16) and first.dtype == np.uint8
+    assert again[1].tobytes() == first[0].tobytes() == pgm_read(os.path.join(dataset, rels[0])).pixels.tobytes()
+    assert cache.labels.tolist() == m.labels_as_indices().tolist()
+    x = normalize(cache.take([0, 1, 2]), NormalizationSpec())
+    assert len(reads) == 3
     assert x.shape == (3, 1, 16, 16) and x.dtype == np.float32 and x.flags.c_contiguous
-    assert x.tobytes() == np.stack([normalize(cache.image(rel)) for rel in rels]).tobytes()
-    with pytest.raises(DataError, match="image is 16x16, expected 8x8"):
-        DatasetCache(dataset, NormalizationSpec(), (8, 8)).image(rels[0])
+    assert x.tobytes() == np.stack([normalize(pgm_read(os.path.join(dataset, rel))) for rel in rels[:3]]).tobytes()
+    with pytest.raises(DataError, match=f"^{rels[0]}: image is 16x16, expected 8x8$"):
+        DatasetCache(dataset, m, (8, 8)).take([0])
