@@ -29,11 +29,10 @@ def main():
 
     model = nn.Model(parse_layers(LAYERS, 32), (1, 32, 32), seed=0)
     opt = nn.Adam(1e-3)
-    targets = nn.targets_for("softmax_ce", y, 3, dtype=model.dtype)
 
     for step in range(200):
         logits = model.forward(x)
-        loss, glogits = nn.loss_forward_backward("softmax_ce", logits, targets)
+        loss, glogits = nn.loss_forward_backward("softmax_ce", logits, y)
         model.backward(glogits)
         opt.step([p for _, p in model.parameters()], model.gradients())
         if step % 40 == 0 or step == 199:

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-synth, gen-rotated, split, run, evaluate, assess, plot,
-grad-check. Exit codes: 0 success, 1 runtime/numeric/checkpoint failure,
-2 usage or config error, 3 data error.
+grad-check; each subparser names its handler (args, overrides). Exit
+codes: 0 success, else the raised DaylearnError's `exit_code` (errors.py:
+1 runtime/numeric/checkpoint, 2 usage or config, 3 data), or 1 for any
+other OSError.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .data import (
     manifest_read,
     split_manifest,
 )
-from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
+from .errors import ConfigError, DataError, DaylearnError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
 from .protocol import METRICS_FILE, load_split, read_state, run_experiment
 from .protocol import evaluate as evaluate_model
@@ -42,7 +44,12 @@ def _build_parser():
     p = argparse.ArgumentParser(prog="daylearn", description="Sequential-learning harness")
     sub = p.add_subparsers(dest="command")
 
-    sp = sub.add_parser("gen-synth", help="generate a synthetic PGM dataset")
+    def command(name, handler, help, overrides=False):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler, overrides=overrides)
+        return sp
+
+    sp = command("gen-synth", _cmd_gen_synth, "generate a synthetic PGM dataset")
     sp.add_argument("--out", required=True)
     sp.add_argument("--classes", type=int, default=3)
     sp.add_argument("--per-class", type=int, default=300)
@@ -50,26 +57,26 @@ def _build_parser():
     sp.add_argument("--noise", type=float, default=0.05)
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("gen-rotated", help="build the 3-class rotated dataset")
+    sp = command("gen-rotated", _cmd_gen_rotated, "build the 3-class rotated dataset")
     sp.add_argument("--manifest", required=True, help="source manifest file")
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--source-class", default=None, help="restrict to one source class")
 
-    sp = sub.add_parser("split", help="write 70/10/20 split manifests")
+    sp = command("split", _cmd_split, "write 70/10/20 split manifests")
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--fractions", default="0.70,0.10,0.20")
 
-    sp = sub.add_parser("run", help="run an experiment")
+    sp = command("run", _cmd_run, "run an experiment", overrides=True)
     sp.add_argument("--config", default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--resume", action="store_true")
     sp.add_argument("--stop-after-day", type=int, default=None)
 
-    sp = sub.add_parser("evaluate", help="evaluate a checkpoint on a manifest")
+    sp = command("evaluate", _cmd_evaluate, "evaluate a checkpoint on a manifest")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--loss", default="softmax_ce", choices=list(nn.LOSS_KINDS))
@@ -79,17 +86,17 @@ def _build_parser():
     sp.add_argument("--data-root", default=None,
                     help="image root (default: the manifest's directory)")
 
-    sp = sub.add_parser("assess", help="hold-out-free training assessment")
+    sp = command("assess", _cmd_assess, "hold-out-free training assessment", overrides=True)
     sp.add_argument("--run", required=True, help="run directory")
     sp.add_argument("--config", default=None)
 
-    sp = sub.add_parser("plot", help="emit an SVG line chart from a run")
+    sp = command("plot", _cmd_plot, "emit an SVG line chart from a run")
     sp.add_argument("--run", required=True)
     sp.add_argument("--series", default="train_acc,test_acc")
     sp.add_argument("--out", required=True)
     sp.add_argument("--phase", default="sequential")
 
-    sp = sub.add_parser("grad-check", help="finite-difference gradient verification")
+    sp = command("grad-check", _cmd_grad_check, "finite-difference gradient verification")
     sp.add_argument("--seeds", type=int, default=20)
     sp.add_argument("--tol", type=float, default=1e-5)
     sp.add_argument("--h", type=float, default=1e-6)
@@ -97,14 +104,14 @@ def _build_parser():
     return p
 
 
-def _cmd_gen_synth(args):
+def _cmd_gen_synth(args, overrides):
     os.makedirs(args.out, exist_ok=True)
     m = gen_synthetic(args.classes, args.per_class, args.size, args.noise, args.seed, args.out)
     print(f"wrote {len(m)} images in {len(m.class_names)} classes under {args.out}")
     return 0
 
 
-def _cmd_gen_rotated(args):
+def _cmd_gen_rotated(args, overrides):
     src = manifest_read(args.manifest)
     if args.source_class is not None:
         keep = [i for i, (_, label) in enumerate(src.entries) if label == args.source_class]
@@ -118,7 +125,7 @@ def _cmd_gen_rotated(args):
     return 0
 
 
-def _cmd_split(args):
+def _cmd_split(args, overrides):
     try:
         fracs = tuple(float(t) for t in args.fractions.split(","))
     except ValueError:
@@ -176,7 +183,7 @@ def _acquire_lock(out):
     return fd
 
 
-def _cmd_evaluate(args):
+def _cmd_evaluate(args, overrides):
     model, _ = nn.checkpoint_load(args.checkpoint)
     manifest = manifest_read(args.manifest)
     spec = NormalizationSpec(args.norm_mean, args.norm_std)
@@ -198,7 +205,7 @@ def _cmd_assess(args, overrides):
     return 0
 
 
-def _cmd_plot(args):
+def _cmd_plot(args, overrides):
     log = read_metrics(os.path.join(args.run, METRICS_FILE))
     names = [s.strip() for s in args.series.split(",") if s.strip()]
     emit_plot(log, names, args.out, phase=args.phase)
@@ -206,7 +213,7 @@ def _cmd_plot(args):
     return 0
 
 
-def _cmd_grad_check(args):
+def _cmd_grad_check(args, overrides):
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     # every layer kind in one small stack
@@ -237,6 +244,16 @@ def _cmd_grad_check(args):
     return 0
 
 
+def _overrides(args, extra):
+    """The `--key=value` tokens left over by the parser, as `key=value`."""
+    for tok in extra:
+        if not (tok.startswith("--") and "=" in tok):
+            raise UsageError(f"unrecognized argument {tok!r}")
+    if extra and not args.overrides:
+        raise UsageError(f"overrides not supported for {args.command}")
+    return [tok[2:] for tok in extra]
+
+
 def dispatch(argv):
     parser = _build_parser()
     try:
@@ -246,48 +263,11 @@ def dispatch(argv):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    overrides = []
-    for tok in extra:
-        if tok.startswith("--") and "=" in tok:
-            overrides.append(tok[2:])
-        else:
-            print(f"USAGE_ERROR: unrecognized argument {tok!r}", file=sys.stderr)
-            return 2
-    if overrides and args.command not in ("run", "assess"):
-        print(f"USAGE_ERROR: overrides not supported for {args.command}", file=sys.stderr)
-        return 2
     try:
-        if args.command == "gen-synth":
-            return _cmd_gen_synth(args)
-        if args.command == "gen-rotated":
-            return _cmd_gen_rotated(args)
-        if args.command == "split":
-            return _cmd_split(args)
-        if args.command == "run":
-            return _cmd_run(args, overrides)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "assess":
-            return _cmd_assess(args, overrides)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        if args.command == "grad-check":
-            return _cmd_grad_check(args)
-        parser.print_usage(sys.stderr)
-        return 2
-    except (ConfigError, UsageError) as e:
-        cls = "CONFIG_ERROR" if isinstance(e, ConfigError) else "USAGE_ERROR"
-        print(f"{cls}: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"DATA_ERROR: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"NUMERIC_ERROR: {e}", file=sys.stderr)
-        return 1
-    except CheckpointError as e:
-        print(f"CHECKPOINT_ERROR: {e}", file=sys.stderr)
-        return 1
+        return args.handler(args, _overrides(args, extra))
+    except DaylearnError as e:
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
     except OSError as e:
         print(f"IO_ERROR: {e}", file=sys.stderr)
         return 1

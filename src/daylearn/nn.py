@@ -484,7 +484,7 @@ def parse_layers(text, image_size):
     return specs
 
 
-def _output_shape(specs, input_shape):
+def output_shape(specs, input_shape):
     """Validate a layer stack and return its output shape, building
     nothing; raises ConfigError on the first bad or inconsistent layer."""
     if not specs:
@@ -547,7 +547,7 @@ class Model:
         self.specs = list(specs)
         self.input_shape = tuple(int(d) for d in input_shape)
         self.dtype = np.dtype(dtype)
-        self.output_shape = _output_shape(self.specs, self.input_shape)
+        self.output_shape = output_shape(self.specs, self.input_shape)
         self.layers = [
             _BY_SPEC[type(spec)].layer(spec, init_rng(i), self.dtype)
             for i, spec in enumerate(self.specs)
@@ -634,18 +634,27 @@ class Model:
 
 SOFTMAX_CE = "softmax_ce"
 BCE_LOGITS = "bce_logits"
-LOSS_KINDS = (SOFTMAX_CE, BCE_LOGITS)
 
 
-def softmax_cross_entropy(logits, class_idx):
-    """Mean cross-entropy over the batch; grad w.r.t. logits."""
+def _check_batch(logits, class_idx):
+    """(logits, int64 class indices) of one batch: UsageError for an empty
+    batch, DataError unless there is one index per row, in [0, k)."""
     logits = np.asarray(logits)
     n, k = logits.shape
     if n < 1:
         raise UsageError("empty batch")
     idx = np.asarray(class_idx, dtype=np.int64)
+    if idx.shape != (n,):  # a single index would broadcast over every row
+        raise DataError(f"{idx.size} class indices for {n} rows of logits")
     if idx.min() < 0 or idx.max() >= k:
         raise DataError(f"class index out of range [0,{k})")
+    return logits, idx
+
+
+def softmax_cross_entropy(logits, class_idx):
+    """Mean cross-entropy over the batch; grad w.r.t. logits."""
+    logits, idx = _check_batch(logits, class_idx)
+    n = len(logits)
     m = logits.max(axis=1, keepdims=True)
     z = logits - m
     lse = np.log(np.exp(z).sum(axis=1)) + m[:, 0]
@@ -655,15 +664,13 @@ def softmax_cross_entropy(logits, class_idx):
     return loss, (p / n).astype(logits.dtype)
 
 
-def bce_with_logits(logits, onehot):
-    """Mean over batch*classes of binary cross-entropy on raw logits."""
-    logits = np.asarray(logits)
+def bce_with_logits(logits, class_idx):
+    """Mean over batch*classes of binary cross-entropy on raw logits, each
+    row's target the one-hot row of its class index."""
+    logits, idx = _check_batch(logits, class_idx)
     n, k = logits.shape
-    if n < 1:
-        raise UsageError("empty batch")
-    t = np.asarray(onehot, dtype=logits.dtype)
-    if t.shape != logits.shape:
-        raise DataError(f"targets shape {t.shape} does not match logits {logits.shape}")
+    t = np.zeros(logits.shape, dtype=logits.dtype)
+    t[np.arange(n), idx] = 1.0
     per = np.maximum(logits, 0) - logits * t + np.log1p(np.exp(-np.abs(logits)))
     loss = float(per.mean())
     e = np.exp(-np.abs(logits))
@@ -671,22 +678,15 @@ def bce_with_logits(logits, onehot):
     return loss, ((sig - t) / (n * k)).astype(logits.dtype)
 
 
-def loss_forward_backward(kind, logits, targets):
-    if kind == SOFTMAX_CE:
-        return softmax_cross_entropy(logits, targets)
-    if kind == BCE_LOGITS:
-        return bce_with_logits(logits, targets)
-    raise ConfigError(f"unknown loss kind {kind!r}")
+# loss kind -> function (logits, class indices) -> (mean loss, grad w.r.t. logits)
+LOSSES = {SOFTMAX_CE: softmax_cross_entropy, BCE_LOGITS: bce_with_logits}
+LOSS_KINDS = tuple(LOSSES)
 
 
-def targets_for(kind, class_idx, num_classes, dtype=np.float64):
-    """Class indices as-is for softmax CE; one-hot rows for BCE."""
-    idx = np.asarray(class_idx, dtype=np.int64)
-    if kind == SOFTMAX_CE:
-        return idx
-    out = np.zeros((idx.shape[0], num_classes), dtype=dtype)
-    out[np.arange(idx.shape[0]), idx] = 1.0
-    return out
+def loss_forward_backward(kind, logits, class_idx):
+    if kind not in LOSSES:
+        raise ConfigError(f"unknown loss kind {kind!r}")
+    return LOSSES[kind](logits, class_idx)
 
 
 def predict_batch(model, inputs):
@@ -774,12 +774,17 @@ class Adam(_Optimizer):
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
 
 
-def make_optimizer(kind, lr, beta1=0.9, beta2=0.999, epsilon=1e-8, momentum=0.0):
-    if kind == "adam":
-        return Adam(lr, beta1, beta2, epsilon)
-    if kind == "sgd":
-        return SGD(lr, momentum)
-    raise ConfigError(f"unknown optimizer kind {kind!r}")
+# optimizer kind -> class; a class's `kind_id` names it in checkpoints
+OPTIMIZERS = {cls.kind: cls for cls in (SGD, Adam)}
+
+
+def make_optimizer(kind, **values):
+    """An optimizer of `kind`, built from the entries of `values` that its
+    `hyperparameters` name; the others are ignored."""
+    if kind not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer kind {kind!r}")
+    cls = OPTIMIZERS[kind]
+    return cls(**{name: values[name] for name in cls.hyperparameters if name in values})
 
 
 # ---------------------------------------------------------------------------
@@ -812,12 +817,11 @@ def _grad_check_setup(model, inputs, class_idx, loss_kind):
     mode, which leaves the layer caches alone.
     """
     x = np.array(inputs, dtype=model.dtype)
-    targets = targets_for(loss_kind, class_idx, model.num_classes, dtype=model.dtype)
-    _, glogits = loss_forward_backward(loss_kind, model.forward(x), targets)
+    _, glogits = loss_forward_backward(loss_kind, model.forward(x), class_idx)
     gx = model.backward(glogits)
 
     def loss_value():
-        return loss_forward_backward(loss_kind, model.forward(x, train=False), targets)[0]
+        return loss_forward_backward(loss_kind, model.forward(x, train=False), class_idx)[0]
 
     return x, gx, loss_value
 
@@ -849,7 +853,7 @@ def grad_check_input(model, inputs, class_idx, loss_kind, h=1e-6):
 
 _MAGIC = b"SQLN"
 _VERSION = 1
-_OPTIMIZERS = {cls.kind_id: cls for cls in (SGD, Adam)}
+_OPTIMIZER_IDS = {cls.kind_id: cls for cls in OPTIMIZERS.values()}
 _DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 
@@ -951,7 +955,7 @@ def checkpoint_load(path, dtype=np.float32):
             raise CheckpointError(f"layer kind {cls.__name__} takes {len(fields(cls))} ints, got {n_ints}")
         specs.append(cls(*struct.unpack(f"<{n_ints}i", r.take(4 * n_ints, "layer params"))))
     try:
-        _output_shape(specs, input_shape)
+        output_shape(specs, input_shape)
     except ConfigError as e:
         raise CheckpointError(f"bad layer table: {e}") from None
     # each stored value takes at least 4 bytes; check before allocating
@@ -970,9 +974,9 @@ def checkpoint_load(path, dtype=np.float32):
     optimizer = None
     if r.u8("optimizer presence flag"):
         opt_id = r.u8("optimizer kind")
-        if opt_id not in _OPTIMIZERS:
+        if opt_id not in _OPTIMIZER_IDS:
             raise CheckpointError(f"unknown optimizer id {opt_id} at offset {r.off - 1}")
-        cls = _OPTIMIZERS[opt_id]
+        cls = _OPTIMIZER_IDS[opt_id]
         n_hp = r.u8("hyperparameter count")
         if n_hp != len(cls.hyperparameters):
             raise CheckpointError(

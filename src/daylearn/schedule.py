@@ -69,15 +69,19 @@ def dayplan_read(path) -> DayPlan:
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("#n_per_day:\t"):
         raise DataError(f"{path}: missing '#n_per_day:' header")
-    n_per_day = int(lines[0].split("\t", 1)[1])
-    days = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        day_str, _, idx_str = line.partition("\t")
-        if int(day_str) != len(days) + 1:
-            raise DataError(f"{path}:{ln}: days out of order")
-        days.append([int(t) for t in idx_str.split(",")] if idx_str else [])
+    ln = 1
+    try:
+        n_per_day = int(lines[0].split("\t", 1)[1])
+        days = []
+        for ln, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            day_str, _, idx_str = line.partition("\t")
+            if int(day_str) != len(days) + 1:
+                raise DataError(f"{path}:{ln}: days out of order")
+            days.append([int(t) for t in idx_str.split(",")] if idx_str else [])
+    except ValueError as e:  # from int(): n_per_day, a day number or an index
+        raise DataError(f"{path}:{ln}: {e}") from None
     return DayPlan(days, n_per_day)
 
 

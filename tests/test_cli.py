@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from daylearn import cli, config, data, metrics, nn
+from daylearn import cli, config, data, errors, metrics, nn
 from daylearn.cli import dispatch
 from daylearn.config import (
     load_effective_config,
@@ -516,12 +516,14 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     ("evaluate", ["--norm-mean", "nan"], "CONFIG_ERROR: normalization mean must be finite"),
     ("assess", ["--detectors.slope_tol=nan"], "USAGE_ERROR: tolerances"),
     ("assess", ["--detectors.var_tol=nan"], "USAGE_ERROR: tolerances"),
+    ("run", ["--protocol.pretrain_target=nan", "--protocol.pretrain_size=4"],
+     "CONFIG_ERROR: pretrain_target must be a number"),
     ("run", ["--stop-after-day", "0"], "USAGE_ERROR: --stop-after-day must be >= 1"),
     ("grad-check", ["--seeds", "0"], "USAGE_ERROR: --seeds must be >= 1"),
 ], ids=["batch_0", "batch_negative", "fractions_not_numbers", "fractions_nan",
         "fractions_negative", "size_negative", "pretrain_size_negative", "jitter_inf",
         "rotate_inf", "translate_huge", "norm_mean_nan", "slope_tol_nan", "var_tol_nan",
-        "stop_after_day_0", "grad_check_seeds_0"])
+        "pretrain_target_nan", "stop_after_day_0", "grad_check_seeds_0"])
 def test_bad_numeric_argument_is_a_typed_error(tmp_path, capsys, command, args, prefix):
     dd = tmp_path / "data"
     data.gen_synthetic(2, 4, 8, 0.05, 0, str(dd))
@@ -729,3 +731,69 @@ def test_grad_check_subcommand_small(capsys):
     assert dispatch(["grad-check", "--seeds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if "OK" in line] == ["grad-check: OK"]
+
+
+# ---------------------------------------------------------------------------
+# command and error tables
+# ---------------------------------------------------------------------------
+
+
+def test_every_subcommand_has_a_handler():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert sorted(sub.choices) == ["assess", "evaluate", "gen-rotated", "gen-synth",
+                                   "grad-check", "plot", "run", "split"]
+    for name, sp in sub.choices.items():
+        assert callable(sp.get_default("handler")), name
+        assert sp.get_default("overrides") is (name in ("run", "assess")), name
+
+
+@pytest.mark.parametrize("error,label,code", [
+    (errors.ConfigError, "CONFIG_ERROR", 2),
+    (errors.UsageError, "USAGE_ERROR", 2),
+    (errors.DataError, "DATA_ERROR", 3),
+    (errors.NumericError, "NUMERIC_ERROR", 1),
+    (errors.CheckpointError, "CHECKPOINT_ERROR", 1),
+    (FileNotFoundError, "IO_ERROR", 1),
+])
+def test_each_error_class_reaches_its_label_and_exit_code(monkeypatch, capsys, error, label, code):
+    def handler(args, overrides):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_grad_check", handler)
+    assert dispatch(["grad-check"]) == code
+    assert capsys.readouterr().err == f"{label}: boom\n"
+
+
+def test_overrides_only_for_commands_that_take_them(capsys):
+    assert dispatch(["grad-check", "--protocol.seed=1"]) == 2
+    assert capsys.readouterr().err == "USAGE_ERROR: overrides not supported for grad-check\n"
+    assert dispatch(["grad-check", "stray"]) == 2
+    assert capsys.readouterr().err == "USAGE_ERROR: unrecognized argument 'stray'\n"
+
+
+@pytest.mark.parametrize("loss", ["softmax_ce", "bce_logits"])
+def test_evaluate_more_classes_than_logits_is_a_data_error(tmp_path, capsys, loss):
+    dd = tmp_path / "data"
+    data.gen_synthetic(3, 2, 8, 0.05, 0, str(dd))
+    model = nn.Model(parse_layers("flatten,dense:2", 8), (1, 8, 8))
+    nn.checkpoint_save(model, None, tmp_path / "ckpt.bin")
+    assert dispatch(["evaluate", "--checkpoint", str(tmp_path / "ckpt.bin"),
+                     "--manifest", str(dd / "manifest.txt"), "--loss", loss]) == 3
+    assert capsys.readouterr().err == "DATA_ERROR: class index out of range [0,2)\n"
+
+
+@pytest.mark.parametrize("override", ["optimizer.kind=foo", "optimizer.beta1=2"])
+def test_bad_optimizer_value_is_refused_before_the_run_directory_exists(tmp_path, capsys, override):
+    out = tmp_path / "r"
+    assert dispatch(_small_run_argv(tmp_path, out) + [f"--{override}"]) == 2
+    assert capsys.readouterr().err.startswith("CONFIG_ERROR:")
+    assert not out.exists()
+
+
+def test_class_count_mismatch_is_refused_before_manifests_and_day_plan(tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = _small_run_argv(tmp_path, out) + ["--model.layers=conv:2:3:1:1,relu,pool:2,flatten,dense:4"]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == "CONFIG_ERROR: model emits 4 logits but the dataset has 2 classes\n"
+    assert sorted(p.name for p in out.iterdir()) == ["effective_config.cfg", "lock"]

@@ -576,8 +576,7 @@ def test_softmax_grad_rows_sum_to_zero():
 
 
 def test_bce_zero_logits():
-    onehot = np.array([[0.0, 1.0, 0.0]])
-    loss, grad = nn.bce_with_logits(np.zeros((1, 3)), onehot)
+    loss, grad = nn.bce_with_logits(np.zeros((1, 3)), [1])
     assert loss == pytest.approx(math.log(2), rel=1e-12)
     assert grad.shape == (1, 3)
 
@@ -588,19 +587,33 @@ def test_loss_errors():
     with pytest.raises(UsageError):
         nn.softmax_cross_entropy(np.zeros((0, 3)), [])
     with pytest.raises(DataError):
-        nn.bce_with_logits(np.zeros((2, 3)), np.zeros((2, 2)))
+        nn.bce_with_logits(np.zeros((2, 3)), [0, 3])
+    with pytest.raises(DataError, match="1 class indices for 2 rows"):
+        nn.softmax_cross_entropy(np.zeros((2, 3)), [0])
 
 
 def test_loss_stability_large_logits():
     loss, grad = nn.softmax_cross_entropy(np.array([[1000.0, 0.0, 0.0]]), [0])
     assert math.isfinite(loss) and np.all(np.isfinite(grad))
-    loss, grad = nn.bce_with_logits(np.array([[1000.0, -1000.0]]), np.array([[1.0, 0.0]]))
+    loss, grad = nn.bce_with_logits(np.array([[1000.0, -1000.0]]), [0])
     assert math.isfinite(loss) and np.all(np.isfinite(grad))
 
 
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
+
+
+def test_make_optimizer_reads_the_names_of_its_hyperparameters():
+    sgd = nn.make_optimizer("sgd", lr=0.1, momentum=0.5, beta1=2.0)  # SGD has no beta1
+    assert (type(sgd), sgd.lr, sgd.momentum) == (nn.SGD, 0.1, 0.5)
+    adam = nn.make_optimizer("adam", lr=0.1, beta2=0.5, momentum=float("nan"))
+    assert (type(adam), adam.beta1, adam.beta2, adam.epsilon) == (nn.Adam, 0.9, 0.5, 1e-8)
+    with pytest.raises(ConfigError, match="unknown optimizer kind 'foo'"):
+        nn.make_optimizer("foo", lr=0.1)
+    with pytest.raises(ConfigError, match="betas"):
+        nn.make_optimizer("adam", lr=0.1, beta1=2.0)
+    assert nn.LOSS_KINDS == tuple(nn.LOSSES)
 
 
 def test_sgd_plain_step():

@@ -103,8 +103,7 @@ def _evaluate_items(model, items, loss_kind, batch_size):
         batch = range(start, min(start + batch_size, len(items)))
         y = labels[list(batch)]
         logits, pred = nn.predict_batch(model, np.stack([items[i][0] for i in batch]))
-        targets = nn.targets_for(loss_kind, y, model.num_classes, dtype=model.dtype)
-        loss, _ = nn.loss_forward_backward(loss_kind, logits, targets)
+        loss, _ = nn.loss_forward_backward(loss_kind, logits, y)
         total_loss += loss * len(batch)
         correct += int((pred == y).sum())
     return total_loss / len(items), correct / len(items)
@@ -228,6 +227,7 @@ def test_class_count_mismatch_rejected(dataset, tmp_path):
     cfg = small_config(dataset, layers=parse_layers(LAYERS.replace("dense:3", "dense:4"), 16))
     with pytest.raises(ConfigError, match="classes"):
         run_experiment(cfg, tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []  # refused before any manifest or day plan
 
 
 def test_demand_exceeding_supply_rejected(dataset, tmp_path):

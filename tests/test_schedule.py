@@ -1,7 +1,7 @@
 import pytest
 
 from daylearn import schedule
-from daylearn.errors import ConfigError
+from daylearn.errors import ConfigError, DataError
 from daylearn.schedule import (
     GLOBAL_HOLDOUT,
     HALF_SPLIT,
@@ -110,3 +110,16 @@ def test_day_split_determinism():
     a = day_split(HALF_SPLIT, 2, batch_prev, batch_curr, seed=11)
     b = day_split(HALF_SPLIT, 2, batch_prev, batch_curr, seed=11)
     assert a == b
+
+
+@pytest.mark.parametrize("text,line,value", [
+    ("#n_per_day:\tten\n1\t0,1\n", 1, "ten"),
+    ("#n_per_day:\t2\none\t0,1\n", 2, "one"),
+    ("#n_per_day:\t2\n1\t0,1\n2\t2,x\n", 3, "x"),
+], ids=["n_per_day", "day", "index"])
+def test_dayplan_read_non_integer_field_is_a_data_error(tmp_path, text, line, value):
+    path = tmp_path / "plan.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as e:
+        dayplan_read(path)
+    assert str(e.value) == f"{path}:{line}: invalid literal for int() with base 10: {value!r}"
