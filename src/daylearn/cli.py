@@ -24,6 +24,7 @@ from .config import (
     write_effective_config,
 )
 from .data import (
+    SPLIT_FRACTIONS,
     NormalizationSpec,
     build_rotated_dataset,
     gen_synthetic,
@@ -33,7 +34,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, DaylearnError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
-from .protocol import METRICS_FILE, load_split, read_state, run_experiment
+from .protocol import METRICS_FILE, ExperimentConfig, load_split, read_state, run_experiment
 from .protocol import evaluate as evaluate_model
 from .rng import substream
 
@@ -63,11 +64,11 @@ def _build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--source-class", default=None, help="restrict to one source class")
 
-    sp = command("split", _cmd_split, "write 70/10/20 split manifests")
+    sp = command("split", _cmd_split, "write train/val/test split manifests")
     sp.add_argument("--data", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--fractions", default="0.70,0.10,0.20")
+    sp.add_argument("--fractions", default=",".join(map(str, SPLIT_FRACTIONS)))
 
     sp = command("run", _cmd_run, "run an experiment", overrides=True)
     sp.add_argument("--config", default=None)
@@ -79,8 +80,8 @@ def _build_parser():
     sp = command("evaluate", _cmd_evaluate, "evaluate a checkpoint on a manifest")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--manifest", required=True)
-    sp.add_argument("--loss", default="softmax_ce", choices=list(nn.LOSS_KINDS))
-    sp.add_argument("--batch-size", type=int, default=16)
+    sp.add_argument("--loss", default=ExperimentConfig.loss_kind, choices=list(nn.LOSS_KINDS))
+    sp.add_argument("--batch-size", type=int, default=ExperimentConfig.batch_size)
     sp.add_argument("--norm-mean", type=float, default=NormalizationSpec.mean)
     sp.add_argument("--norm-std", type=float, default=NormalizationSpec.std)
     sp.add_argument("--data-root", default=None,
@@ -98,8 +99,8 @@ def _build_parser():
 
     sp = command("grad-check", _cmd_grad_check, "finite-difference gradient verification")
     sp.add_argument("--seeds", type=int, default=20)
-    sp.add_argument("--tol", type=float, default=1e-5)
-    sp.add_argument("--h", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=nn.GRAD_CHECK_TOL)
+    sp.add_argument("--h", type=float, default=nn.GRAD_CHECK_H)
 
     return p
 

@@ -23,6 +23,9 @@ from .rng import substream
 GRAY_MEAN = 0.449
 GRAY_STD = 0.226
 
+# train / validation / test shares of each class
+SPLIT_FRACTIONS = (0.70, 0.10, 0.20)
+
 
 @dataclass
 class Image:
@@ -209,7 +212,7 @@ def ingest_directory(root) -> Manifest:
     return Manifest(entries, classes)
 
 
-def split_manifest(manifest: Manifest, fractions=(0.70, 0.10, 0.20), seed=0, out_dir=None):
+def split_manifest(manifest: Manifest, fractions=SPLIT_FRACTIONS, seed=0, out_dir=None):
     """Stratified train/validation/test split; floor counts, remainder to train.
 
     If out_dir is given, writes train.txt / val.txt / test.txt there.

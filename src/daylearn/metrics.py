@@ -82,13 +82,10 @@ def append_metrics(run_id, records, path):
         f.writelines(format_record(run_id, rec) + "\n" for rec in records)
 
 
-def read_metrics(path, drop_unterminated=False) -> RunLog:
-    """Parse metrics.csv. drop_unterminated skips a last line with no
-    newline, which a kill during an append leaves behind."""
-    text = read_text(path)
-    lines = text.splitlines()
-    if drop_unterminated and not text.endswith("\n"):
-        lines = lines[:-1]
+def read_metrics(path) -> RunLog:
+    """Parse metrics.csv, skipping a last line with no newline: a kill
+    during an append leaves it behind, and it is newer than state.txt."""
+    lines = read_text(path).split("\n")[:-1]  # the last piece is "" or torn
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise DataError(f"{path}:1: bad or missing CSV header")
     run_id = None
@@ -157,14 +154,13 @@ def plateau_detect(series, config: DetectorConfig):
     return None
 
 
-def spike_detect(series, spike_drop, loss_mode=False):
-    """Indices where the series drops (accuracy) or jumps (loss) by >= spike_drop."""
+def spike_detect(series, spike_drop):
+    """Indices where the (accuracy) series drops by >= spike_drop."""
     if len(series) < 2:
         raise UsageError("series must have at least 2 points")
     out = []
     for i in range(1, len(series)):
-        delta = series[i] - series[i - 1] if loss_mode else series[i - 1] - series[i]
-        if delta >= spike_drop:
+        if series[i - 1] - series[i] >= spike_drop:
             out.append(i)
     return out
 

@@ -535,12 +535,12 @@ class Model:
         self._build(specs, input_shape, dtype, lambda i: substream(self.seed, "init", i))
 
     @classmethod
-    def _unfilled(cls, specs, input_shape, dtype):
-        """A model with zero parameters for a checkpoint to fill. It draws
-        no init streams, since the checkpoint overwrites every value."""
+    def _unfilled(cls, specs, input_shape):
+        """A float32 model with zero parameters for a checkpoint to fill. It
+        draws no init streams, since the checkpoint overwrites every value."""
         model = cls.__new__(cls)
         model.seed = 0
-        model._build(specs, input_shape, dtype, lambda i: None)
+        model._build(specs, input_shape, np.float32, lambda i: None)
         return model
 
     def _build(self, specs, input_shape, dtype, init_rng):
@@ -791,6 +791,9 @@ def make_optimizer(kind, **values):
 # Gradient verification
 # ---------------------------------------------------------------------------
 
+GRAD_CHECK_H = 1e-6  # central-difference step
+GRAD_CHECK_TOL = 1e-5  # largest relative error that passes
+
 
 def _fd_max_rel_err(flat, gflat, loss_value, h):
     """Central differences over every entry of `flat` (perturbed in place
@@ -826,7 +829,7 @@ def _grad_check_setup(model, inputs, class_idx, loss_kind):
     return x, gx, loss_value
 
 
-def grad_check_model(model, inputs, class_idx, loss_kind, h=1e-6, tol=1e-5):
+def grad_check_model(model, inputs, class_idx, loss_kind, h=GRAD_CHECK_H, tol=GRAD_CHECK_TOL):
     """Central finite differences vs analytic gradients, per parameter tensor.
 
     The model should be built with dtype float64; returns a list of
@@ -841,7 +844,7 @@ def grad_check_model(model, inputs, class_idx, loss_kind, h=1e-6, tol=1e-5):
     return report
 
 
-def grad_check_input(model, inputs, class_idx, loss_kind, h=1e-6):
+def grad_check_input(model, inputs, class_idx, loss_kind, h=GRAD_CHECK_H):
     """Max relative error of the input gradient, same scheme as above."""
     x, gx, loss_value = _grad_check_setup(model, inputs, class_idx, loss_kind)
     return _fd_max_rel_err(x.reshape(-1), gx.reshape(-1), loss_value, h)
@@ -932,8 +935,8 @@ def checkpoint_save(model, optimizer, path):
         f.write(struct.pack("<Q", optimizer.t))
 
 
-def checkpoint_load(path, dtype=np.float32):
-    """Read a SQLN checkpoint; returns (model, optimizer or None)."""
+def checkpoint_load(path):
+    """Read a SQLN checkpoint; returns (float32 model, optimizer or None)."""
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data)
@@ -965,7 +968,7 @@ def checkpoint_load(path, dtype=np.float32):
             f"layer table implies {values} parameter values, more than the "
             f"{len(data) - r.off} bytes after offset {r.off} can hold"
         )
-    model = Model._unfilled(specs, input_shape, dtype)
+    model = Model._unfilled(specs, input_shape)
     n_params = r.u32("parameter count")
     params = [p for _, p in model.parameters()]
     if n_params != len(params):

@@ -22,6 +22,7 @@ import numpy as np
 from . import nn
 from .data import (
     AUG_DRAWS,
+    SPLIT_FRACTIONS,
     AugmentConfig,
     NormalizationSpec,
     augment_batch as augment_image,  # the name the benchmark tracer wraps
@@ -37,7 +38,6 @@ from .metrics import MetricsRecord, RunLog, append_metrics, read_metrics, write_
 from .rng import substream
 from .schedule import (
     GLOBAL_HOLDOUT,
-    GLOBAL_VAL_STRATEGIES,
     STRATEGIES,
     day_split,
     dayplan_write,
@@ -65,7 +65,7 @@ class ExperimentConfig:
     epochs_per_day: int = 1
     strategy: str = GLOBAL_HOLDOUT
     allow_short_final: bool = False
-    split_fractions: tuple = (0.70, 0.10, 0.20)
+    split_fractions: tuple = SPLIT_FRACTIONS
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     norm: NormalizationSpec = field(default_factory=NormalizationSpec)
     seed: int = 0
@@ -127,9 +127,9 @@ def _plain(value):
     return value
 
 
-def build_model(config: ExperimentConfig, dtype=np.float32):
+def build_model(config: ExperimentConfig):
     shape = (1, config.image_size, config.image_size)
-    return nn.Model(config.layers, shape, seed=config.seed, dtype=dtype)
+    return nn.Model(config.layers, shape, seed=config.seed)
 
 
 class DatasetCache:
@@ -308,11 +308,13 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     checks state.txt before it writes anything, and goes on from the day
     after the one it names; with no state.txt it starts from day 1. A
     fresh run removes state.txt before it writes anything.
-    stop_after_day ends the run early with a checkpoint so it can be
-    resumed.
+    stop_after_day (>= 1) ends the run early with a checkpoint so it can
+    be resumed.
     """
     if not config.data_root:
         raise ConfigError("config.data_root is required")
+    if stop_after_day is not None and stop_after_day < 1:
+        raise UsageError(f"stop_after_day must be >= 1, got {stop_after_day}")
     t0 = time.time()
     cfg_hash = config.config_hash()
     run_id = cfg_hash[:8]
@@ -344,22 +346,22 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     shape = (config.image_size, config.image_size)
     cache = DatasetCache(config.data_root, train_m, shape)
 
-    # pre-training subset is carved out before day planning; with
-    # pretrain_size 0 it is empty and the rest is the whole train split
+    # the pre-training rows are carved out first and the day plan shuffles
+    # the rest; with pretrain_size 0 the rest is every row of the train split
     if config.pretrain_size > len(train_m):
         raise ConfigError(f"pretrain_size {config.pretrain_size} exceeds train split {len(train_m)}")
     perm = substream(config.seed, "pretrain_subset").permutation(len(train_m))
     subset_idx = np.sort(perm[: config.pretrain_size])
     rest_idx = np.sort(perm[config.pretrain_size :])
 
-    plan = plan_days(len(rest_idx), config.n_per_day, config.total_days, config.seed,
+    plan = plan_days(rest_idx, config.n_per_day, config.total_days, config.seed,
                      allow_short_final=config.allow_short_final)
     dayplan_write(plan, os.path.join(out_dir, _DAYPLAN_FILE))
 
     # the global validation split is read only by pre-training, which a run
     # with a state has done, and by the global strategy; a run that needs
     # neither never loads it
-    reads_val = (len(subset_idx) > 0 and state is None) or config.strategy in GLOBAL_VAL_STRATEGIES
+    reads_val = (len(subset_idx) > 0 and state is None) or config.strategy == GLOBAL_HOLDOUT
     val_split = load_split(config.data_root, val_m, config.norm, shape) if reads_val else None
     test_split = load_split(config.data_root, test_m, config.norm, shape)
 
@@ -373,9 +375,9 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     else:
         last_day, ckpt_name = state
         model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
-        # a row torn by a kill mid-append is newer than state.txt: drop it;
-        # pre-training rows are day 0, so they stay
-        old = read_metrics(metrics_path, drop_unterminated=True)
+        # read_metrics drops a row torn by a kill mid-append; pre-training
+        # rows are day 0, so they stay
+        old = read_metrics(metrics_path)
         records = [r for r in old.records if r.day <= last_day]
     log = RunLog(run_id, records)
     write_metrics(log, metrics_path)
@@ -383,13 +385,12 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     for day in range(last_day + 1, len(plan) + 1):
         prev_batch = plan.batch(day - 1) if day > 1 else None
         curr_batch = plan.batch(day)
-        train_idx, val_idx = day_split(config.strategy, day, prev_batch, curr_batch, config.seed)
-        if val_idx is None:
+        train_rows, val_rows = day_split(config.strategy, day, prev_batch, curr_batch, config.seed)
+        if val_rows is None:
             day_val = val_split
         else:
-            rows = rest_idx[val_idx]
-            day_val = (normalize(cache.take(rows), config.norm), cache.labels[rows])
-        records = run_day(model, optimizer, config, cache, rest_idx[train_idx], day_val, day)
+            day_val = (normalize(cache.take(val_rows), config.norm), cache.labels[val_rows])
+        records = run_day(model, optimizer, config, cache, train_rows, day_val, day)
         test_loss, test_acc = evaluate(model, *test_split, config.loss_kind, config.batch_size)
         records[-1].test_loss = test_loss
         records[-1].test_acc = test_acc

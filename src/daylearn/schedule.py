@@ -1,13 +1,15 @@
 """Day-based data arrival and the two day-local validation strategies.
 
-A DayPlan partitions a seeded shuffle of the training manifest into
-consecutive day batches without replacement. day_split implements the
-three ways of picking (train, validation) sets for one day.
+A DayPlan partitions a seeded shuffle of rows of the training manifest
+into consecutive day batches without replacement. day_split implements
+the three ways of picking (train, validation) rows for one day.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .data import read_text, replacing_open
 from .errors import ConfigError, DataError, UsageError
@@ -17,14 +19,11 @@ GLOBAL_HOLDOUT = "global"
 PREV_TRAIN_CURR_VAL = "prev_curr"  # strategy A
 HALF_SPLIT = "half_split"  # strategy B
 STRATEGIES = (GLOBAL_HOLDOUT, PREV_TRAIN_CURR_VAL, HALF_SPLIT)
-# the strategies whose every day validates on the global validation split:
-# day_split returns validation=None for exactly these
-GLOBAL_VAL_STRATEGIES = (GLOBAL_HOLDOUT,)
 
 
 @dataclass
 class DayPlan:
-    """days[d] holds manifest entry indices for day d+1; disjoint across days."""
+    """days[d] is the int array of train-split rows for day d+1; disjoint across days."""
 
     days: list
     n_per_day: int
@@ -39,22 +38,19 @@ class DayPlan:
         return self.days[day_index - 1]
 
 
-def plan_days(manifest_size, n_per_day, total_days, seed, allow_short_final=False) -> DayPlan:
-    """Seeded shuffle of [0, manifest_size) cut into blocks of n_per_day."""
+def plan_days(rows, n_per_day, total_days, seed, allow_short_final=False) -> DayPlan:
+    """Seeded shuffle of the int array `rows` cut into blocks of n_per_day."""
     if n_per_day < 1 or total_days < 1:
         raise ConfigError("n_per_day and total_days must be >= 1")
     demand = n_per_day * total_days
-    if demand > manifest_size:
-        if not allow_short_final or (total_days - 1) * n_per_day >= manifest_size:
+    if demand > len(rows):
+        if not allow_short_final or (total_days - 1) * n_per_day >= len(rows):
             raise ConfigError(
-                f"day plan needs {demand} entries but manifest has {manifest_size} "
-                f"(shortfall {demand - manifest_size})"
+                f"day plan needs {demand} train-split rows but has {len(rows)} to draw from "
+                f"(shortfall {demand - len(rows)})"
             )
-    order = substream(seed, "dayplan").permutation(manifest_size)
-    days = []
-    for d in range(total_days):
-        block = order[d * n_per_day : (d + 1) * n_per_day]
-        days.append([int(i) for i in block])
+    order = rows[substream(seed, "dayplan").permutation(len(rows))]
+    days = [order[d * n_per_day : (d + 1) * n_per_day] for d in range(total_days)]
     return DayPlan(days, n_per_day)
 
 
@@ -62,7 +58,7 @@ def dayplan_write(plan: DayPlan, path):
     with replacing_open(path) as f:
         f.write(f"#n_per_day:\t{plan.n_per_day}\n")
         for d, batch in enumerate(plan.days, start=1):
-            f.write(f"{d}\t" + ",".join(str(i) for i in batch) + "\n")
+            f.write(f"{d}\t" + ",".join(map(str, batch.tolist())) + "\n")
 
 
 def dayplan_read(path) -> DayPlan:
@@ -79,23 +75,21 @@ def dayplan_read(path) -> DayPlan:
             day_str, _, idx_str = line.partition("\t")
             if int(day_str) != len(days) + 1:
                 raise DataError(f"{path}:{ln}: days out of order")
-            days.append([int(t) for t in idx_str.split(",")] if idx_str else [])
-    except ValueError as e:  # from int(): n_per_day, a day number or an index
+            days.append(np.array(idx_str.split(",") if idx_str else [], dtype=np.int64))
+    except (ValueError, OverflowError) as e:  # n_per_day, a day number or an index
         raise DataError(f"{path}:{ln}: {e}") from None
     return DayPlan(days, n_per_day)
 
 
 def _half_perm(batch, seed, day_index):
     """Deterministic halves of a day batch: (train half, held-out half)."""
-    perm = substream(seed, "half_split", day_index).permutation(len(batch))
+    shuffled = batch[substream(seed, "half_split", day_index).permutation(len(batch))]
     half = len(batch) // 2
-    train_half = [batch[i] for i in perm[:half]]
-    held_half = [batch[i] for i in perm[half:]]
-    return train_half, held_half
+    return shuffled[:half], shuffled[half:]
 
 
 def day_split(strategy, day_index, prev_batch, curr_batch, seed):
-    """(train indices, validation indices) for one day.
+    """(train rows, validation rows) for one day, as int arrays.
 
     GlobalHoldout returns validation=None; the caller validates on the
     global validation manifest. Strategy A: previous day trains, current
@@ -105,12 +99,12 @@ def day_split(strategy, day_index, prev_batch, curr_batch, seed):
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown validation strategy {strategy!r}")
-    if strategy in GLOBAL_VAL_STRATEGIES:
-        return list(curr_batch), None
+    if strategy == GLOBAL_HOLDOUT:
+        return curr_batch, None
     if strategy == PREV_TRAIN_CURR_VAL:
         if day_index == 1:
-            return [], list(curr_batch)
-        return list(prev_batch), list(curr_batch)
+            return curr_batch[:0], curr_batch
+        return prev_batch, curr_batch
     # HALF_SPLIT
     if len(curr_batch) % 2 != 0:
         raise ConfigError(f"half-split strategy needs an even day size, got {len(curr_batch)}")
@@ -118,4 +112,4 @@ def day_split(strategy, day_index, prev_batch, curr_batch, seed):
     if day_index == 1:
         return train_half, held_half
     _, prev_held = _half_perm(prev_batch, seed, day_index - 1)
-    return train_half + prev_held, held_half
+    return np.concatenate([train_half, prev_held]), held_half

@@ -456,6 +456,9 @@ def test_kill_while_appending_metrics_resumes_byte_identical(tmp_path):
     day3 = (full / "metrics.csv").read_bytes().splitlines(keepends=True)[3]
     with open(crashed / "metrics.csv", "ab") as f:
         f.write(day3[: len(day3) // 2])
+    # the readers of a run directory skip the torn row as a resume does
+    assert dispatch(["assess", "--run", str(crashed), "--detectors.window=2"]) == 0
+    assert dispatch(["plot", "--run", str(crashed), "--out", str(tmp_path / "torn.svg")]) == 0
     assert dispatch(argv + ["--resume"]) == 0
     _assert_same_run(full, crashed)
 

@@ -1,6 +1,6 @@
-"""Pinned output bytes: sha256 of `metrics.csv` and `ckpt_final.bin` for a
-few tiny runs, one per strategy, one with pre-training and one stopped and
-resumed, against `golden/digests.txt`.
+"""Pinned output bytes: sha256 of `metrics.csv`, `ckpt_final.bin` and
+`dayplan.txt` for a few tiny runs, one per strategy, one with pre-training
+and one stopped and resumed, against `golden/digests.txt`.
 
 A change that moves any of these bytes on the same numpy and BLAS fails
 here. When the change is meant to move them, regenerate the file with
@@ -21,7 +21,7 @@ from daylearn.nn import parse_layers
 from daylearn.protocol import ExperimentConfig, run_experiment
 
 DIGESTS = pathlib.Path(__file__).parent / "golden" / "digests.txt"
-FILES = ("metrics.csv", "ckpt_final.bin")
+FILES = ("metrics.csv", "ckpt_final.bin", "dayplan.txt")
 LAYERS = "conv:2:3:1:1,relu,pool:2,flatten,dense:3"
 
 # name -> (ExperimentConfig fields over the shared ones, stop_after_day);

@@ -20,6 +20,7 @@ from daylearn.protocol import (
     evaluate,
     run_experiment,
 )
+from daylearn.rng import substream
 
 LAYERS = "conv:8:3:1:1,relu,pool:2,conv:8:3:1:1,relu,pool:2,flatten,dense:3"
 
@@ -176,11 +177,13 @@ def test_pretrain_epoch_cap(dataset, tmp_path):
 def test_pretrain_subset_disjoint_from_days(dataset, tmp_path):
     cfg = small_config(dataset, pretrain_size=16, total_days=4, n_per_day=10)
     run_experiment(cfg, tmp_path / "run")
-    # the plan draws from the reduced pool: 84 train entries - 16 pretrain = 68 >= 40
+    # the plan names rows of train.txt (84 entries) outside the 16 pre-training rows
     plan_lines = (tmp_path / "run/dayplan.txt").read_text().splitlines()[1:]
     used = [int(t) for line in plan_lines for t in line.split("\t")[1].split(",")]
     assert len(used) == len(set(used)) == 40
-    assert max(used) < 84 - 16
+    assert len(manifest_read(tmp_path / "run/train.txt")) == 84 and max(used) < 84
+    pretrain_rows = substream(cfg.seed, "pretrain_subset").permutation(84)[:16]
+    assert not set(used) & set(pretrain_rows.tolist())
 
 
 def test_strategy_a_day_one_validates_untrained(dataset, tmp_path):
@@ -228,6 +231,13 @@ def test_class_count_mismatch_rejected(dataset, tmp_path):
     with pytest.raises(ConfigError, match="classes"):
         run_experiment(cfg, tmp_path / "run")
     assert list((tmp_path / "run").iterdir()) == []  # refused before any manifest or day plan
+
+
+@pytest.mark.parametrize("stop", [0, -3])
+def test_stop_after_day_below_one_rejected_before_any_write(dataset, tmp_path, stop):
+    with pytest.raises(UsageError, match=f"stop_after_day must be >= 1, got {stop}"):
+        run_experiment(small_config(dataset), tmp_path / "run", stop_after_day=stop)
+    assert not (tmp_path / "run").exists()
 
 
 def test_demand_exceeding_supply_rejected(dataset, tmp_path):
