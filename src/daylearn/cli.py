@@ -31,6 +31,7 @@ from .data import (
     ingest_directory,
     manifest_read,
     split_manifest,
+    splits_write,
 )
 from .errors import ConfigError, DataError, DaylearnError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
@@ -133,9 +134,10 @@ def _cmd_split(args, overrides):
         fracs = ()
     if len(fracs) != 3:
         raise ConfigError("--fractions needs exactly three comma-separated numbers")
-    os.makedirs(args.out, exist_ok=True)
     manifest = ingest_directory(args.data)
-    train, val, test = split_manifest(manifest, fractions=fracs, seed=args.seed, out_dir=args.out)
+    train, val, test = splits = split_manifest(manifest, fractions=fracs, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
+    splits_write(splits, args.out)
     print(f"split {len(manifest)} entries into {len(train)}/{len(val)}/{len(test)}")
     return 0
 
@@ -153,7 +155,7 @@ def _cmd_run(args, overrides):
     lock_fd = _acquire_lock(args.out)
     try:
         if args.resume:  # a refused resume writes nothing
-            read_state(args.out, config.config_hash())
+            read_state(args.out, config)
         write_effective_config(effective, os.path.join(args.out, "effective_config.cfg"))
         log = run_experiment(
             config, args.out, resume=args.resume, stop_after_day=args.stop_after_day

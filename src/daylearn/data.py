@@ -212,11 +212,8 @@ def ingest_directory(root) -> Manifest:
     return Manifest(entries, classes)
 
 
-def split_manifest(manifest: Manifest, fractions=SPLIT_FRACTIONS, seed=0, out_dir=None):
-    """Stratified train/validation/test split; floor counts, remainder to train.
-
-    If out_dir is given, writes train.txt / val.txt / test.txt there.
-    """
+def split_manifest(manifest: Manifest, fractions=SPLIT_FRACTIONS, seed=0):
+    """Stratified train/validation/test split; floor counts, remainder to train."""
     if not all(0.0 <= f <= 1.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must lie in [0, 1] and sum to 1, got {fractions}")
     if len(manifest) == 0:
@@ -236,11 +233,13 @@ def split_manifest(manifest: Manifest, fractions=SPLIT_FRACTIONS, seed=0, out_di
         buckets[0].extend(idx[:n_train])
         buckets[1].extend(idx[n_train : n_train + n_val])
         buckets[2].extend(idx[n_train + n_val :])
-    splits = tuple(manifest.subset(b) for b in buckets)
-    if out_dir is not None:
-        for name, m in zip(("train.txt", "val.txt", "test.txt"), splits):
-            manifest_write(m, os.path.join(out_dir, name))
-    return splits
+    return tuple(manifest.subset(b) for b in buckets)
+
+
+def splits_write(splits, out_dir):
+    """Write the (train, val, test) manifests as train.txt, val.txt and test.txt in out_dir."""
+    for name, m in zip(("train.txt", "val.txt", "test.txt"), splits):
+        manifest_write(m, os.path.join(out_dir, name))
 
 
 # ---------------------------------------------------------------------------

@@ -273,5 +273,5 @@ def emit_plot(log: RunLog, series_names, path, phase="sequential"):
             f'<text x="{_SVG_W - _MARGIN - 93}" y="{ly + 2}" font-size="12">{name}</text>\n'
         )
     buf.write("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with replacing_open(path) as f:
         f.write(buf.getvalue())

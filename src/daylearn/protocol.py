@@ -16,6 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -32,17 +33,12 @@ from .data import (
     read_text,
     replacing_open,
     split_manifest,
+    splits_write,
 )
 from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
 from .metrics import MetricsRecord, RunLog, append_metrics, read_metrics, write_metrics
 from .rng import substream
-from .schedule import (
-    GLOBAL_HOLDOUT,
-    STRATEGIES,
-    day_split,
-    dayplan_write,
-    plan_days,
-)
+from .schedule import GLOBAL_HOLDOUT, STRATEGIES, day_splits, dayplan_write, plan_days
 
 
 @dataclass
@@ -277,10 +273,11 @@ def _write_state(out_dir, config_hash, last_day, ckpt_name):
         f.write(f"checkpoint={ckpt_name}\n")
 
 
-def read_state(out_dir, config_hash):
+def read_state(out_dir, config):
     """(last_day, checkpoint name) from `out_dir`/state.txt, or None when
     there is no state.txt: such a directory holds no checkpoint, so its
-    run starts from day 1. Refuses a state saved under another config."""
+    run starts from day 1. Refuses a state saved under another config, and
+    a last_day outside that config's days."""
     path = os.path.join(out_dir, _STATE_FILE)
     try:
         kv = dict(line.partition("=")[::2] for line in read_text(path, CheckpointError).splitlines())
@@ -291,11 +288,15 @@ def read_state(out_dir, config_hash):
         raise CheckpointError(
             f"corrupt run state {path}: needs config_hash, integer last_day and checkpoint"
         ) from None
-    if saved_hash != config_hash:
+    if saved_hash != config.config_hash():
         raise ConfigError(
             "resume refused: config hash does not match the run directory; "
             "the directory may also predate the canonical config hash, "
             "and such a directory cannot be resumed"
+        )
+    if not 1 <= last_day <= config.total_days:
+        raise CheckpointError(
+            f"corrupt run state {path}: last_day {last_day} outside days 1-{config.total_days}"
         )
     return last_day, ckpt_name
 
@@ -304,10 +305,11 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     """Split -> optional pretrain -> day loop -> per-day test evaluation.
 
     Writes metrics.csv, dayplan.txt, manifests, checkpoints, state.txt and
-    run_meta.txt under out_dir. Returns the RunLog. A resumed run reads and
-    checks state.txt before it writes anything, and goes on from the day
-    after the one it names; with no state.txt it starts from day 1. A
-    fresh run removes state.txt before it writes anything.
+    run_meta.txt under out_dir. Returns the RunLog. Every check comes
+    before the first write, so a refused run creates no out_dir and leaves
+    an existing one as it was. A resumed run goes on from the day after the
+    one state.txt names; with no state.txt it starts from day 1. A fresh
+    run removes state.txt before it writes anything else.
     stop_after_day (>= 1) ends the run early with a checkpoint so it can
     be resumed.
     """
@@ -318,17 +320,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     t0 = time.time()
     cfg_hash = config.config_hash()
     run_id = cfg_hash[:8]
-    if resume:
-        state = read_state(out_dir, cfg_hash)
-    else:
-        # a fresh run over an old one: a kill before its first checkpoint
-        # must not leave the old state.txt for a resume to trust
-        state = None
-        try:
-            os.remove(os.path.join(out_dir, _STATE_FILE))
-        except FileNotFoundError:
-            pass
-    os.makedirs(out_dir, exist_ok=True)
+    state = read_state(out_dir, config) if resume else None
 
     manifest = ingest_directory(config.data_root)
     if len(manifest.class_names) < 2:
@@ -340,8 +332,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         raise ConfigError(
             f"model emits {logits} logits but the dataset has {len(manifest.class_names)} classes"
         )
-    train_m, val_m, test_m = split_manifest(
-        manifest, fractions=config.split_fractions, seed=config.seed, out_dir=out_dir
+    train_m, val_m, test_m = splits = split_manifest(
+        manifest, fractions=config.split_fractions, seed=config.seed
     )
     shape = (config.image_size, config.image_size)
     cache = DatasetCache(config.data_root, train_m, shape)
@@ -354,9 +346,20 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     subset_idx = np.sort(perm[: config.pretrain_size])
     rest_idx = np.sort(perm[config.pretrain_size :])
 
-    plan = plan_days(rest_idx, config.n_per_day, config.total_days, config.seed,
+    days = plan_days(rest_idx, config.n_per_day, config.total_days, config.seed,
                      allow_short_final=config.allow_short_final)
-    dayplan_write(plan, os.path.join(out_dir, _DAYPLAN_FILE))
+    daily_splits = day_splits(config.strategy, days, config.seed)
+
+    if not resume:
+        # a fresh run over an old one: a kill before its first checkpoint
+        # must not leave the old state.txt for a resume to trust
+        try:
+            os.remove(os.path.join(out_dir, _STATE_FILE))
+        except FileNotFoundError:
+            pass
+    os.makedirs(out_dir, exist_ok=True)
+    splits_write(splits, out_dir)
+    dayplan_write(days, config.n_per_day, os.path.join(out_dir, _DAYPLAN_FILE))
 
     # the global validation split is read only by pre-training, which a run
     # with a state has done, and by the global strategy; a run that needs
@@ -382,10 +385,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     log = RunLog(run_id, records)
     write_metrics(log, metrics_path)
 
-    for day in range(last_day + 1, len(plan) + 1):
-        prev_batch = plan.batch(day - 1) if day > 1 else None
-        curr_batch = plan.batch(day)
-        train_rows, val_rows = day_split(config.strategy, day, prev_batch, curr_batch, config.seed)
+    # the days before a resume's first are drawn and skipped
+    for day, (train_rows, val_rows) in islice(enumerate(daily_splits, start=1), last_day, None):
         if val_rows is None:
             day_val = val_split
         else:
@@ -408,7 +409,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
             return log
 
     nn.checkpoint_save(model, optimizer, os.path.join(out_dir, _FINAL_CKPT))
-    _write_state(out_dir, cfg_hash, len(plan), _FINAL_CKPT)
+    _write_state(out_dir, cfg_hash, len(days), _FINAL_CKPT)
     _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer.t)
     return log
 

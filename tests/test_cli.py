@@ -717,6 +717,21 @@ def test_resume_with_corrupt_state_exits_1(tmp_path, capsys, state):
     assert err.startswith("CHECKPOINT_ERROR: corrupt run state") and "state.txt" in err
 
 
+@pytest.mark.parametrize("last_day", [999, -3])
+def test_resume_with_last_day_outside_the_plan_exits_1(tmp_path, capsys, last_day):
+    out = tmp_path / "r"
+    argv = _small_run_argv(tmp_path, out, days=4)
+    assert dispatch(argv + ["--stop-after-day", "2"]) == 0
+    state = out / "state.txt"
+    state.write_text(state.read_text().replace("last_day=2\n", f"last_day={last_day}\n"))
+    kept = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert dispatch(argv + ["--resume"]) == 1
+    assert capsys.readouterr().err == (
+        f"CHECKPOINT_ERROR: corrupt run state {state}: last_day {last_day} outside days 1-4\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+
+
 def test_run_determinism_byte_identical(tmp_path):
     dd = tmp_path / "data"
     dispatch(["gen-synth", "--out", str(dd), "--classes", "2", "--per-class", "20",
@@ -799,4 +814,15 @@ def test_class_count_mismatch_is_refused_before_manifests_and_day_plan(tmp_path,
     argv = _small_run_argv(tmp_path, out) + ["--model.layers=conv:2:3:1:1,relu,pool:2,flatten,dense:4"]
     assert dispatch(argv) == 2
     assert capsys.readouterr().err == "CONFIG_ERROR: model emits 4 logits but the dataset has 2 classes\n"
+    assert sorted(p.name for p in out.iterdir()) == ["effective_config.cfg", "lock"]
+
+
+def test_odd_short_final_day_is_refused_before_the_first_day(tmp_path, capsys):
+    # 27 rows after pre-training: six days of 4 and a final day of 3
+    out = tmp_path / "r"
+    argv = _small_run_argv(tmp_path, out, days=7) + [
+        "--schedule.strategy=half_split", "--protocol.pretrain_size=1",
+        "--schedule.allow_short_final=true"]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == "CONFIG_ERROR: half-split strategy needs an even day size, got 3\n"
     assert sorted(p.name for p in out.iterdir()) == ["effective_config.cfg", "lock"]

@@ -153,7 +153,8 @@ def test_split_stratified_three_classes():
 
 def test_split_disjoint_union_and_file_round_trip(tmp_path):
     m = _fake_manifest({"a": 37, "b": 53})
-    tr, va, te = data.split_manifest(m, seed=3, out_dir=tmp_path)
+    tr, va, te = splits = data.split_manifest(m, seed=3)
+    data.splits_write(splits, tmp_path)
     paths = [set(p for p, _ in s.entries) for s in (tr, va, te)]
     assert not (paths[0] & paths[1]) and not (paths[0] & paths[2]) and not (paths[1] & paths[2])
     assert paths[0] | paths[1] | paths[2] == set(p for p, _ in m.entries)

@@ -1,6 +1,7 @@
 """Pinned output bytes: sha256 of `metrics.csv`, `ckpt_final.bin` and
-`dayplan.txt` for a few tiny runs, one per strategy, one with pre-training
-and one stopped and resumed, against `golden/digests.txt`.
+`dayplan.txt` for a few tiny runs, one per strategy, one with pre-training,
+one stopped and resumed and one with a short final day, against
+`golden/digests.txt`.
 
 A change that moves any of these bytes on the same numpy and BLAS fails
 here. When the change is meant to move them, regenerate the file with
@@ -34,6 +35,9 @@ RUNS = {
                   "pretrain_target": 1.0, "loss_kind": "bce_logits",
                   "optimizer_kind": "sgd", "learning_rate": 0.05, "momentum": 0.9}, None),
     "resumed": ({"strategy": "half_split", "checkpoint_every": 2}, 2),
+    # 26 rows left after pre-training: six days of 4 and a final day of 2
+    "short_final": ({"strategy": "half_split", "pretrain_size": 1, "total_days": 7,
+                     "allow_short_final": True}, None),
 }
 
 

@@ -1,3 +1,4 @@
+import builtins
 import math
 
 import numpy as np
@@ -250,6 +251,43 @@ def test_emit_plot_deterministic_bytes(tmp_path):
     emit_plot(log, ["val_acc", "val_loss"], tmp_path / "a.svg")
     emit_plot(log, ["val_acc", "val_loss"], tmp_path / "b.svg")
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+
+def test_emit_plot_killed_mid_write_keeps_the_previous_svg(tmp_path, monkeypatch):
+    path = tmp_path / "p.svg"
+    emit_plot(_log(5), ["val_acc"], path)
+    kept = path.read_bytes()
+
+    class Killed(Exception):
+        pass
+
+    class TornFile:
+        """A file opened for writing that takes half of its first write, then dies."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[: len(text) // 2])
+            raise Killed
+
+    real_open = open
+
+    def open_(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return TornFile(f) if "w" in mode else f
+
+    monkeypatch.setattr(builtins, "open", open_)
+    with pytest.raises(Killed):
+        emit_plot(_log(9), ["val_acc", "test_acc"], path)
+    monkeypatch.undo()
+    assert path.read_bytes() == kept
 
 
 def test_emit_plot_empty_selection(tmp_path):

@@ -230,7 +230,7 @@ def test_class_count_mismatch_rejected(dataset, tmp_path):
     cfg = small_config(dataset, layers=parse_layers(LAYERS.replace("dense:3", "dense:4"), 16))
     with pytest.raises(ConfigError, match="classes"):
         run_experiment(cfg, tmp_path / "run")
-    assert list((tmp_path / "run").iterdir()) == []  # refused before any manifest or day plan
+    assert not (tmp_path / "run").exists()  # refused before any write
 
 
 @pytest.mark.parametrize("stop", [0, -3])
@@ -244,6 +244,46 @@ def test_demand_exceeding_supply_rejected(dataset, tmp_path):
     cfg = small_config(dataset, total_days=50, n_per_day=10)
     with pytest.raises(ConfigError, match="shortfall"):
         run_experiment(cfg, tmp_path / "run")
+
+
+@pytest.fixture(scope="module")
+def finished_run(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("finished") / "run"
+    run_experiment(small_config(dataset, checkpoint_every=2), out)
+    return out
+
+
+def _files(run_dir):
+    return {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+
+# 84 rows in the train split
+REFUSED = {
+    "class_count": ({"layers": parse_layers(LAYERS.replace("dense:3", "dense:4"), 16)},
+                    "model emits 4 logits"),
+    "shortfall": ({"total_days": 50}, "shortfall"),
+    "pretrain_size": ({"pretrain_size": 85}, "exceeds train split 84"),
+    "odd_n_per_day": ({"strategy": "half_split", "n_per_day": 5}, "even day size, got 5"),
+    # 83 rows after pre-training: eight days of 10 and a final day of 3
+    "odd_short_final_day": ({"strategy": "half_split", "pretrain_size": 1, "total_days": 9,
+                             "allow_short_final": True}, "even day size, got 3"),
+}
+
+
+@pytest.mark.parametrize("fields,match", REFUSED.values(), ids=list(REFUSED))
+def test_refused_run_writes_nothing(dataset, finished_run, tmp_path, fields, match):
+    cfg = small_config(dataset, **fields)
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(cfg, tmp_path / "new")
+    assert not (tmp_path / "new").exists()
+    # a fresh run refused over a finished one leaves it as it was, state.txt included
+    old = tmp_path / "old"
+    shutil.copytree(finished_run, old)
+    kept = _files(old)
+    assert "state.txt" in kept
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(cfg, old)
+    assert _files(old) == kept
 
 
 # ---------------------------------------------------------------------------
