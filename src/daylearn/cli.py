@@ -18,10 +18,10 @@ import numpy as np
 
 from . import nn
 from .config import (
+    format_effective_config,
     load_effective_config,
     to_detector_config,
     to_experiment_config,
-    write_effective_config,
 )
 from .data import (
     SPLIT_FRACTIONS,
@@ -35,7 +35,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, DaylearnError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
-from .protocol import METRICS_FILE, ExperimentConfig, load_split, read_state, run_experiment
+from .protocol import METRICS_FILE, ExperimentConfig, load_split, run_experiment
 from .protocol import evaluate as evaluate_model
 from .rng import substream
 
@@ -107,7 +107,6 @@ def _build_parser():
 
 
 def _cmd_gen_synth(args, overrides):
-    os.makedirs(args.out, exist_ok=True)
     m = gen_synthetic(args.classes, args.per_class, args.size, args.noise, args.seed, args.out)
     print(f"wrote {len(m)} images in {len(m.class_names)} classes under {args.out}")
     return 0
@@ -148,18 +147,12 @@ def _cmd_run(args, overrides):
     if args.seed is not None:
         overrides = list(overrides) + [f"protocol.seed={args.seed}"]
     effective = load_effective_config(args.config, overrides)
-    if not effective["data.root"]:
-        raise ConfigError("config key 'data.root' is required for run")
     config = to_experiment_config(effective)
     os.makedirs(args.out, exist_ok=True)
     lock_fd = _acquire_lock(args.out)
     try:
-        if args.resume:  # a refused resume writes nothing
-            read_state(args.out, config)
-        write_effective_config(effective, os.path.join(args.out, "effective_config.cfg"))
-        log = run_experiment(
-            config, args.out, resume=args.resume, stop_after_day=args.stop_after_day
-        )
+        log = run_experiment(config, args.out, resume=args.resume, stop_after_day=args.stop_after_day,
+                             echo=format_effective_config(effective))
     finally:
         os.close(lock_fd)
     print(f"run {log.run_id}: {len(log.records)} metric records in {args.out}")
@@ -219,6 +212,9 @@ def _cmd_plot(args, overrides):
 def _cmd_grad_check(args, overrides):
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    for flag, value in (("--h", args.h), ("--tol", args.tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise UsageError(f"{flag} must be finite and > 0, got {value}")
     # every layer kind in one small stack
     specs = nn.parse_layers("conv:2:3:1:1,relu,pool:2,conv:3:3:1:0,relu,flatten,dense:3", 8)
     worst = 0.0

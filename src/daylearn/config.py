@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import fields
 
-from .data import AugmentConfig, NormalizationSpec, read_text, replacing_open
+from .data import AugmentConfig, NormalizationSpec, read_text
 from .errors import ConfigError
 from .metrics import DetectorConfig
 from .nn import parse_layers
@@ -136,10 +136,7 @@ def to_detector_config(effective) -> DetectorConfig:
     return _build(DetectorConfig, effective)
 
 
-def write_effective_config(effective, path):
-    with replacing_open(path) as f:
-        for key in sorted(effective):
-            value = effective[key]
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            f.write(f"{key} = {value}\n")
+def format_effective_config(effective):
+    """The text of a run's effective_config.cfg: a `key = value` line per key, sorted."""
+    return "".join(f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
+                   for key, value in sorted(effective.items()))

@@ -236,10 +236,21 @@ def split_manifest(manifest: Manifest, fractions=SPLIT_FRACTIONS, seed=0):
     return tuple(manifest.subset(b) for b in buckets)
 
 
+SPLIT_FILES = ("train.txt", "val.txt", "test.txt")
+
+
 def splits_write(splits, out_dir):
     """Write the (train, val, test) manifests as train.txt, val.txt and test.txt in out_dir."""
-    for name, m in zip(("train.txt", "val.txt", "test.txt"), splits):
+    for name, m in zip(SPLIT_FILES, splits):
         manifest_write(m, os.path.join(out_dir, name))
+
+
+def splits_check(splits, out_dir):
+    """DataError unless out_dir's train.txt, val.txt and test.txt hold the (train, val, test) manifests."""
+    for name, m in zip(SPLIT_FILES, splits):
+        path = os.path.join(out_dir, name)
+        if manifest_read(path) != m:
+            raise DataError(f"resume refused: the split of the data root differs from {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +480,8 @@ def gen_synthetic(num_classes, per_class, size, noise_level, seed, out_root) -> 
     h, w = size if isinstance(size, tuple) else (size, size)
     if h < 1 or w < 1:
         raise ConfigError(f"image size must be >= 1, got {size}")
+    if not (math.isfinite(noise_level) and noise_level >= 0):
+        raise ConfigError(f"noise level must be finite and >= 0, got {noise_level}")
     width_digits = len(str(num_classes - 1))
     entries = []
     class_names = [f"c{k:0{width_digits}d}" for k in range(num_classes)]

@@ -33,6 +33,7 @@ from .data import (
     read_text,
     replacing_open,
     split_manifest,
+    splits_check,
     splits_write,
 )
 from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
@@ -263,6 +264,7 @@ def pretrain(model, optimizer, config, cache, subset_items, val_items):
 METRICS_FILE = "metrics.csv"
 _STATE_FILE = "state.txt"
 _DAYPLAN_FILE = "dayplan.txt"
+_ECHO_FILE = "effective_config.cfg"
 _FINAL_CKPT = "ckpt_final.bin"
 
 
@@ -301,20 +303,21 @@ def read_state(out_dir, config):
     return last_day, ckpt_name
 
 
-def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_day=None):
+def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_day=None, echo=None):
     """Split -> optional pretrain -> day loop -> per-day test evaluation.
 
-    Writes metrics.csv, dayplan.txt, manifests, checkpoints, state.txt and
-    run_meta.txt under out_dir. Returns the RunLog. Every check comes
-    before the first write, so a refused run creates no out_dir and leaves
-    an existing one as it was. A resumed run goes on from the day after the
-    one state.txt names; with no state.txt it starts from day 1. A fresh
-    run removes state.txt before it writes anything else.
-    stop_after_day (>= 1) ends the run early with a checkpoint so it can
-    be resumed.
+    Reads all it needs before its first write: state.txt, the checkpoint and
+    metrics.csv on resume, the data.root split and the evaluation splits. So
+    a refused run creates no out_dir and leaves an existing one as it was.
+    Then a fresh run removes state.txt, and the run writes `echo` (the `run`
+    command's config text) as effective_config.cfg, the manifests,
+    dayplan.txt, metrics.csv, checkpoints, state.txt and run_meta.txt.
+    Returns the RunLog. A resume goes on from the day after the one state.txt
+    names, on the split its manifests record; with no state.txt it starts
+    from day 1. stop_after_day (>= 1) ends the run early with a checkpoint.
     """
     if not config.data_root:
-        raise ConfigError("config.data_root is required")
+        raise ConfigError("a data root is required (config key 'data.root')")
     if stop_after_day is not None and stop_after_day < 1:
         raise UsageError(f"stop_after_day must be >= 1, got {stop_after_day}")
     t0 = time.time()
@@ -335,6 +338,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     train_m, val_m, test_m = splits = split_manifest(
         manifest, fractions=config.split_fractions, seed=config.seed
     )
+    if state is not None:  # the days done trained on the split the directory records
+        splits_check(splits, out_dir)
     shape = (config.image_size, config.image_size)
     cache = DatasetCache(config.data_root, train_m, shape)
 
@@ -350,17 +355,6 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
                      allow_short_final=config.allow_short_final)
     daily_splits = day_splits(config.strategy, days, config.seed)
 
-    if not resume:
-        # a fresh run over an old one: a kill before its first checkpoint
-        # must not leave the old state.txt for a resume to trust
-        try:
-            os.remove(os.path.join(out_dir, _STATE_FILE))
-        except FileNotFoundError:
-            pass
-    os.makedirs(out_dir, exist_ok=True)
-    splits_write(splits, out_dir)
-    dayplan_write(days, config.n_per_day, os.path.join(out_dir, _DAYPLAN_FILE))
-
     # the global validation split is read only by pre-training, which a run
     # with a state has done, and by the global strategy; a run that needs
     # neither never loads it
@@ -369,19 +363,32 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     test_split = load_split(config.data_root, test_m, config.norm, shape)
 
     metrics_path = os.path.join(out_dir, METRICS_FILE)
-    if state is None:
-        last_day = 0
-        model, optimizer = build_model(config), config.make_optimizer()
-        records = []
-        if len(subset_idx):
-            records = pretrain(model, optimizer, config, cache, subset_idx, val_split)
-    else:
+    last_day, records = 0, []
+    if state is not None:
         last_day, ckpt_name = state
         model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
         # read_metrics drops a row torn by a kill mid-append; pre-training
         # rows are day 0, so they stay
-        old = read_metrics(metrics_path)
-        records = [r for r in old.records if r.day <= last_day]
+        records = [r for r in read_metrics(metrics_path).records if r.day <= last_day]
+
+    if not resume:
+        # a fresh run over an old one: a kill before its first checkpoint
+        # must not leave the old state.txt for a resume to trust
+        try:
+            os.remove(os.path.join(out_dir, _STATE_FILE))
+        except FileNotFoundError:
+            pass
+    os.makedirs(out_dir, exist_ok=True)
+    if echo is not None:
+        with replacing_open(os.path.join(out_dir, _ECHO_FILE)) as f:
+            f.write(echo)
+    splits_write(splits, out_dir)
+    dayplan_write(days, config.n_per_day, os.path.join(out_dir, _DAYPLAN_FILE))
+
+    if state is None:
+        model, optimizer = build_model(config), config.make_optimizer()
+        if len(subset_idx):
+            records = pretrain(model, optimizer, config, cache, subset_idx, val_split)
     log = RunLog(run_id, records)
     write_metrics(log, metrics_path)
 

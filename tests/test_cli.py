@@ -15,11 +15,11 @@ import pytest
 from daylearn import cli, config, data, errors, metrics, nn
 from daylearn.cli import dispatch
 from daylearn.config import (
+    format_effective_config,
     load_effective_config,
     parse_layers,
     to_detector_config,
     to_experiment_config,
-    write_effective_config,
 )
 from daylearn.errors import ConfigError
 
@@ -85,7 +85,7 @@ def test_bad_value_names_key_and_line(tmp_path):
 def test_effective_config_echo_round_trip(tmp_path):
     eff = load_effective_config(overrides=["schedule.days=17"])
     path = tmp_path / "echo.cfg"
-    write_effective_config(eff, path)
+    path.write_text(format_effective_config(eff), encoding="utf-8")
     again = load_effective_config(path)
     assert again == eff
 
@@ -116,9 +116,8 @@ def test_parse_layers_checks_each_spec():
 
 def test_default_effective_config_bytes_are_pinned(tmp_path):
     # what every run directory's effective_config.cfg holds for the defaults
-    path = tmp_path / "effective_config.cfg"
-    write_effective_config(load_effective_config(env={}), path)
-    assert path.read_bytes() == (GOLDEN / "effective_config.cfg").read_bytes()
+    text = format_effective_config(load_effective_config(env={}))
+    assert text.encode("utf-8") == (GOLDEN / "effective_config.cfg").read_bytes()
 
 
 def test_every_config_key_is_a_dataclass_field():
@@ -523,10 +522,17 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
      "CONFIG_ERROR: pretrain_target must be a number"),
     ("run", ["--stop-after-day", "0"], "USAGE_ERROR: --stop-after-day must be >= 1"),
     ("grad-check", ["--seeds", "0"], "USAGE_ERROR: --seeds must be >= 1"),
+    ("grad-check", ["--h", "0"], "USAGE_ERROR: --h must be finite and > 0"),
+    ("grad-check", ["--h", "nan"], "USAGE_ERROR: --h must be finite and > 0"),
+    ("grad-check", ["--tol", "nan"], "USAGE_ERROR: --tol must be finite and > 0"),
+    ("gen-synth", ["--noise", "nan"], "CONFIG_ERROR: noise level must be finite and >= 0"),
+    ("gen-synth", ["--noise", "-0.5"], "CONFIG_ERROR: noise level must be finite and >= 0"),
+    ("gen-synth", ["--noise", "inf"], "CONFIG_ERROR: noise level must be finite and >= 0"),
 ], ids=["batch_0", "batch_negative", "fractions_not_numbers", "fractions_nan",
         "fractions_negative", "size_negative", "pretrain_size_negative", "jitter_inf",
         "rotate_inf", "translate_huge", "norm_mean_nan", "slope_tol_nan", "var_tol_nan",
-        "pretrain_target_nan", "stop_after_day_0", "grad_check_seeds_0"])
+        "pretrain_target_nan", "stop_after_day_0", "grad_check_seeds_0", "grad_check_h_0",
+        "grad_check_h_nan", "grad_check_tol_nan", "noise_nan", "noise_negative", "noise_inf"])
 def test_bad_numeric_argument_is_a_typed_error(tmp_path, capsys, command, args, prefix):
     dd = tmp_path / "data"
     data.gen_synthetic(2, 4, 8, 0.05, 0, str(dd))
@@ -588,8 +594,9 @@ def test_exit_code_mixed_image_sizes(tmp_path, capsys):
     # evaluate checks the images against the checkpoint's input shape
     model = nn.Model([nn.FlattenSpec(), nn.DenseSpec(64, 2)], (1, 8, 8))
     nn.checkpoint_save(model, None, tmp_path / "ckpt.bin")
+    assert dispatch(["split", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "split")]) == 0
     assert dispatch(["evaluate", "--checkpoint", str(tmp_path / "ckpt.bin"), "--manifest",
-                     str(tmp_path / "r" / "test.txt"), "--data-root", str(tmp_path / "data")]) == 3
+                     str(tmp_path / "split" / "test.txt"), "--data-root", str(tmp_path / "data")]) == 3
     assert "image is 9x8, expected 8x8" in capsys.readouterr().err
 
 
@@ -814,7 +821,7 @@ def test_class_count_mismatch_is_refused_before_manifests_and_day_plan(tmp_path,
     argv = _small_run_argv(tmp_path, out) + ["--model.layers=conv:2:3:1:1,relu,pool:2,flatten,dense:4"]
     assert dispatch(argv) == 2
     assert capsys.readouterr().err == "CONFIG_ERROR: model emits 4 logits but the dataset has 2 classes\n"
-    assert sorted(p.name for p in out.iterdir()) == ["effective_config.cfg", "lock"]
+    assert sorted(p.name for p in out.iterdir()) == ["lock"]
 
 
 def test_odd_short_final_day_is_refused_before_the_first_day(tmp_path, capsys):
@@ -825,4 +832,42 @@ def test_odd_short_final_day_is_refused_before_the_first_day(tmp_path, capsys):
         "--schedule.allow_short_final=true"]
     assert dispatch(argv) == 2
     assert capsys.readouterr().err == "CONFIG_ERROR: half-split strategy needs an even day size, got 3\n"
-    assert sorted(p.name for p in out.iterdir()) == ["effective_config.cfg", "lock"]
+    assert sorted(p.name for p in out.iterdir()) == ["lock"]
+
+
+def _truncate_a_test_image(run_dir, data_root):
+    rel = data.manifest_read(run_dir / "test.txt").entries[0][0]
+    (data_root / rel).write_bytes(b"P5\n8 8\n255\n")  # no pixel payload
+
+
+def _truncate_the_final_checkpoint(run_dir, data_root):
+    ckpt = run_dir / "ckpt_final.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:40])
+
+
+def _add_an_image(run_dir, data_root):
+    shutil.copy(data_root / "c1" / "img_00000.pgm", data_root / "c1" / "img_00099.pgm")
+
+
+@pytest.mark.parametrize("damage,extra,code,err", [
+    (_truncate_a_test_image, [], 3, "DATA_ERROR: "),
+    # a detector key is outside the config hash but inside the echo
+    (_truncate_the_final_checkpoint, ["--resume", "--detectors.window=5"], 1, "CHECKPOINT_ERROR: "),
+    (_add_an_image, ["--resume"], 3, "DATA_ERROR: resume refused: the split of the data root differs"),
+], ids=["unreadable_test_image", "corrupt_checkpoint", "changed_data_root"])
+def test_refused_run_over_a_finished_run_writes_nothing(tmp_path, capsys, damage, extra, code, err):
+    out = tmp_path / "r"
+    argv = _small_run_argv(tmp_path, out, days=4)
+    assert dispatch(argv) == 0
+    damage(out, tmp_path / "data")
+    kept = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert dispatch(argv + extra) == code
+    assert capsys.readouterr().err.startswith(err)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+    # a refused run in a new directory leaves only its lock; a resume there
+    # has no state.txt, so it starts from day 1 and is not refused
+    if "--resume" not in extra:
+        new = tmp_path / "new"
+        assert dispatch(_small_run_argv(tmp_path, new, days=4) + extra) == code
+        assert sorted(p.name for p in new.iterdir()) == ["lock"]

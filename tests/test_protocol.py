@@ -1,3 +1,4 @@
+import builtins
 import math
 import os
 import shutil
@@ -5,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from daylearn import nn, protocol
+from daylearn import data, nn, protocol
 from daylearn.config import parse_layers
 from daylearn.data import (
     AUG_DRAWS, AugmentConfig, NormalizationSpec, augment_batch, gen_synthetic, manifest_read,
@@ -284,6 +285,59 @@ def test_refused_run_writes_nothing(dataset, finished_run, tmp_path, fields, mat
     with pytest.raises(ConfigError, match=match):
         run_experiment(cfg, old)
     assert _files(old) == kept
+
+
+def _record_reads_and_writes(monkeypatch, run_dir):
+    """Log, in call order, each read of a run's inputs, each write under
+    `run_dir` and each training call, as (kind, name) pairs."""
+    events = []
+    run_dir = os.path.abspath(run_dir)
+
+    def record(owner, attr, kind, path_arg=None):
+        orig = getattr(owner, attr)
+
+        def shim(*args, **kwargs):
+            if path_arg is None or os.path.abspath(args[path_arg]).startswith(run_dir):
+                events.append((kind, attr))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, shim)
+
+    for owner, attr in ((protocol, "pgm_read"), (protocol, "read_metrics"), (protocol, "read_state"),
+                        (nn, "checkpoint_load"), (data, "manifest_read")):
+        record(owner, attr, "read")
+    for attr in ("pretrain", "run_day"):
+        record(protocol, attr, "train")
+    for attr, path_arg in (("replace", 1), ("remove", 0), ("makedirs", 0)):
+        record(os, attr, "write", path_arg)
+    real_open = open
+
+    def open_(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+") and os.path.abspath(file).startswith(run_dir):
+            events.append(("write", "open"))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_)
+    return events
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_every_read_comes_before_the_first_write(dataset, tmp_path, monkeypatch, resume):
+    # a global run reads both evaluation splits; with a state.txt a resume
+    # also reads its checkpoint, metrics.csv and the recorded split
+    out = tmp_path / "run"
+    cfg = small_config(dataset, pretrain_size=16, pretrain_epochs=2)
+    if resume:
+        run_experiment(cfg, out, stop_after_day=2)
+    events = _record_reads_and_writes(monkeypatch, out)
+    run_experiment(cfg, out, resume=resume)
+    monkeypatch.undo()
+    kinds = [kind for kind, _ in events]
+    first_write, first_train = kinds.index("write"), kinds.index("train")
+    assert [e for e in events[first_write:first_train] if e[0] == "read"] == []
+    early = {name for kind, name in events[:first_write] if kind == "read"}
+    expected = {"read_state", "checkpoint_load", "read_metrics", "manifest_read"} if resume else set()
+    assert early == expected | {"pgm_read"}
 
 
 # ---------------------------------------------------------------------------
