@@ -17,12 +17,7 @@ import sys
 import numpy as np
 
 from . import nn
-from .config import (
-    format_effective_config,
-    load_effective_config,
-    to_detector_config,
-    to_experiment_config,
-)
+from .config import ExperimentConfig, load_effective_config, to_detector_config, to_experiment_config
 from .data import (
     SPLIT_FRACTIONS,
     NormalizationSpec,
@@ -35,7 +30,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, DaylearnError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
-from .protocol import METRICS_FILE, ExperimentConfig, load_split, run_experiment
+from .protocol import METRICS_FILE, load_split, run_experiment
 from .protocol import evaluate as evaluate_model
 from .rng import substream
 
@@ -146,13 +141,11 @@ def _cmd_run(args, overrides):
         raise UsageError(f"--stop-after-day must be >= 1, got {args.stop_after_day}")
     if args.seed is not None:
         overrides = list(overrides) + [f"protocol.seed={args.seed}"]
-    effective = load_effective_config(args.config, overrides)
-    config = to_experiment_config(effective)
+    config = to_experiment_config(load_effective_config(args.config, overrides))
     os.makedirs(args.out, exist_ok=True)
     lock_fd = _acquire_lock(args.out)
     try:
-        log = run_experiment(config, args.out, resume=args.resume, stop_after_day=args.stop_after_day,
-                             echo=format_effective_config(effective))
+        log = run_experiment(config, args.out, resume=args.resume, stop_after_day=args.stop_after_day)
     finally:
         os.close(lock_fd)
     print(f"run {log.run_id}: {len(log.records)} metric records in {args.out}")

@@ -1,26 +1,117 @@
-"""Config file handling for the CLI.
+"""The experiment config: `ExperimentConfig`, its hash, and its keys.
 
-Flat `section.key = value` text files. Effective config = defaults,
-overlaid by DAYLEARN_* environment variables, the file, then command-line
-overrides (highest precedence). Unknown keys are rejected. Each key sets
-one dataclass field (FIELDS), whose type gives the key's parser and whose
-default is the key's default.
+Config text is flat `section.key = value` lines; `format_config` writes a
+config as one such line per key, as every run's effective_config.cfg.
+Effective config = defaults, overlaid by DAYLEARN_* environment variables,
+the file, then command-line overrides (highest precedence). Unknown keys
+are rejected. Each key sets one dataclass field (FIELDS), whose default is
+the key's default and whose default's type gives the key's parser.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import os
-from dataclasses import fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
-from .data import AugmentConfig, NormalizationSpec, read_text
+import numpy as np
+
+from . import nn
+from .data import SPLIT_FRACTIONS, AugmentConfig, NormalizationSpec, read_text
 from .errors import ConfigError
 from .metrics import DetectorConfig
 from .nn import parse_layers
-from .protocol import ExperimentConfig
+from .schedule import GLOBAL_HOLDOUT, STRATEGIES
 
 ENV_PREFIX = "DAYLEARN_"
 
 DEFAULT_LAYERS = "conv:16:3:1:1,relu,pool:2,conv:16:3:1:1,relu,pool:2,flatten,dense:3"
+
+
+@dataclass
+class ExperimentConfig:
+    layers: list
+    image_size: int = 32
+    optimizer_kind: str = "adam"
+    learning_rate: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    momentum: float = 0.0
+    loss_kind: str = nn.SOFTMAX_CE
+    batch_size: int = 16
+    pretrain_size: int = 0  # 0 disables pre-training
+    pretrain_epochs: int = 5
+    pretrain_target: float = 0.70
+    total_days: int = 10
+    n_per_day: int = 20
+    epochs_per_day: int = 1
+    strategy: str = GLOBAL_HOLDOUT
+    allow_short_final: bool = False
+    split_fractions: tuple = SPLIT_FRACTIONS
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
+    norm: NormalizationSpec = field(default_factory=NormalizationSpec)
+    detectors: DetectorConfig = field(default_factory=DetectorConfig, metadata={"hashed": False})
+    seed: int = 0
+    checkpoint_every: int = 25
+    data_root: str = field(default="", metadata={"hashed": False})
+
+    def __post_init__(self):
+        if self.batch_size < 1 or self.total_days < 1 or self.n_per_day < 1:
+            raise ConfigError("batch_size, total_days and n_per_day must be >= 1")
+        if self.epochs_per_day < 1 or self.pretrain_epochs < 1:
+            raise ConfigError("epoch counts must be >= 1")
+        if self.pretrain_size < 0:
+            raise ConfigError("pretrain_size must be >= 0")
+        if math.isnan(self.pretrain_target):
+            raise ConfigError("pretrain_target must be a number, not NaN")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"strategy must be one of {STRATEGIES}")
+        if self.loss_kind not in nn.LOSS_KINDS:
+            raise ConfigError(f"loss kind must be one of {nn.LOSS_KINDS}")
+        self.make_optimizer()  # the optimizer's constructor checks its values
+
+    def make_optimizer(self):
+        """A new optimizer of this config's kind and hyperparameters."""
+        return nn.make_optimizer(self.optimizer_kind, lr=self.learning_rate, beta1=self.beta1,
+                                 beta2=self.beta2, epsilon=self.epsilon, momentum=self.momentum)
+
+    def config_hash(self):
+        """sha256 of the config as sorted, compact JSON: nested dataclasses
+        flattened to dotted keys, numbers compared by value (1 and 1.0
+        agree), and fields marked `hashed: False` left out: `data_root`, so a
+        moved dataset still resumes, and `detectors`, which only assess reads."""
+        flat = {}
+        _flatten(self, "", flat)
+        text = json.dumps(flat, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _flatten(value, key, out):
+    """Flatten `value` into `out` as dotted key -> plain JSON value. Items
+    of a list of dataclasses (the layer specs) also record their type."""
+    if is_dataclass(value):
+        for f in fields(value):
+            if f.metadata.get("hashed", True):
+                _flatten(getattr(value, f.name), f"{key}.{f.name}" if key else f.name, out)
+    elif isinstance(value, (list, tuple)) and any(is_dataclass(v) for v in value):
+        for i, item in enumerate(value):
+            out[f"{key}.{i}"] = type(item).__name__
+            _flatten(item, f"{key}.{i}", out)
+    else:
+        out[key] = _plain(value)
+
+
+def _plain(value):
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def _bool(s):
@@ -66,19 +157,20 @@ FIELDS = {
     "detectors.spike_drop": (DetectorConfig, "spike_drop"),
 }
 
-# field annotations are strings (postponed evaluation)
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool}
+
+def _values(config):
+    """key -> the value `config` holds for it, for every key."""
+    owners = {type(c): c for c in (config, config.augment, config.norm, config.detectors)}
+    return {"model.layers": nn.format_layers(config.layers)} | {
+        key: getattr(owners[cls], name) for key, (cls, name) in FIELDS.items()
+    }
 
 
-def _field_schema(cls, name):
-    f = next(f for f in fields(cls) if f.name == name)
-    return _PARSERS[f.type], f.default
+_PARSERS = {int: int, float: float, str: str, bool: _bool}
 
-
-# key -> (parser, default), both taken from the key's dataclass field
-SCHEMA = {"model.layers": (str, DEFAULT_LAYERS)} | {
-    key: _field_schema(*field) for key, field in FIELDS.items()
-}
+# key -> (parser, default), both taken from the default config
+SCHEMA = {key: (_PARSERS[type(default)], default) for key, default in
+          _values(ExperimentConfig(parse_layers(DEFAULT_LAYERS, ExperimentConfig.image_size))).items()}
 
 
 def _apply(effective, key, raw, where):
@@ -129,6 +221,7 @@ def to_experiment_config(effective) -> ExperimentConfig:
         layers=parse_layers(effective["model.layers"], effective["data.image_size"]),
         augment=_build(AugmentConfig, effective),
         norm=_build(NormalizationSpec, effective),
+        detectors=to_detector_config(effective),
     )
 
 
@@ -136,7 +229,10 @@ def to_detector_config(effective) -> DetectorConfig:
     return _build(DetectorConfig, effective)
 
 
-def format_effective_config(effective):
-    """The text of a run's effective_config.cfg: a `key = value` line per key, sorted."""
-    return "".join(f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
-                   for key, value in sorted(effective.items()))
+def format_config(config):
+    """The text of a run's effective_config.cfg: a sorted `key = value` line
+    per key, each value as its key's parser gives it (a 0 in a float field
+    is written 0.0), so the text reads back to a config of the same hash."""
+    values = {key: SCHEMA[key][0](value) for key, value in _values(config).items()}
+    return "".join(f"{key} = {str(v).lower() if isinstance(v, bool) else v}\n"
+                   for key, v in sorted(values.items()))

@@ -2,7 +2,8 @@
 
 Images are single-channel uint8, stored on disk as binary PGM (P5,
 maxval 255). A manifest is a text listing of relative image paths and
-class labels; paths are relative to the manifest's directory.
+class labels; paths are relative to the manifest's directory, except in a
+run directory's split manifests, whose paths are relative to `data.root`.
 """
 
 from __future__ import annotations
@@ -478,8 +479,8 @@ def gen_synthetic(num_classes, per_class, size, noise_level, seed, out_root) -> 
     if per_class < 1:
         raise ConfigError("need at least 1 image per class")
     h, w = size if isinstance(size, tuple) else (size, size)
-    if h < 1 or w < 1:
-        raise ConfigError(f"image size must be >= 1, got {size}")
+    if not (1 <= h <= 4096 and 1 <= w <= 4096):  # the pattern's arrays stay under ~1 GiB
+        raise ConfigError(f"image size must be in 1-4096, got {size}")
     if not (math.isfinite(noise_level) and noise_level >= 0):
         raise ConfigError(f"noise level must be finite and >= 0, got {noise_level}")
     width_digits = len(str(num_classes - 1))

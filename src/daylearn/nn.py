@@ -484,6 +484,13 @@ def parse_layers(text, image_size):
     return specs
 
 
+def format_layers(specs):
+    """Spec list -> the layer string that parse_layers reads back to it,
+    every field but the inferred leading one written."""
+    return ",".join(":".join([_BY_SPEC[type(s)].token, *map(str, astuple(s)[s.infer_input :])])
+                    for s in specs)
+
+
 def output_shape(specs, input_shape):
     """Validate a layer stack and return its output shape, building
     nothing; raises ConfigError on the first bad or inconsistent layer."""

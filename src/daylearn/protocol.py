@@ -1,6 +1,9 @@
 """Experiment orchestration: pre-training, the per-day sequential loop,
 global-test evaluation, checkpoint cadence, and resume.
 
+A run's config is an `ExperimentConfig` (config.py); `run_experiment`
+records it in the run directory as effective_config.cfg, whoever calls it.
+
 All randomness is drawn from substreams keyed by (seed, purpose, day,
 epoch). Each training epoch draws one shuffle and one augmentation table
 whose row i belongs to the i-th image of the day's training list, which
@@ -10,22 +13,16 @@ reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 import os
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import islice
 
 import numpy as np
 
 from . import nn
+from .config import ExperimentConfig, format_config
 from .data import (
     AUG_DRAWS,
-    SPLIT_FRACTIONS,
-    AugmentConfig,
-    NormalizationSpec,
     augment_batch as augment_image,  # the name the benchmark tracer wraps
     ingest_directory,
     normalize,
@@ -39,89 +36,7 @@ from .data import (
 from .errors import CheckpointError, ConfigError, DataError, NumericError, UsageError
 from .metrics import MetricsRecord, RunLog, append_metrics, read_metrics, write_metrics
 from .rng import substream
-from .schedule import GLOBAL_HOLDOUT, STRATEGIES, day_splits, dayplan_write, plan_days
-
-
-@dataclass
-class ExperimentConfig:
-    layers: list
-    image_size: int = 32
-    optimizer_kind: str = "adam"
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    momentum: float = 0.0
-    loss_kind: str = nn.SOFTMAX_CE
-    batch_size: int = 16
-    pretrain_size: int = 0  # 0 disables pre-training
-    pretrain_epochs: int = 5
-    pretrain_target: float = 0.70
-    total_days: int = 10
-    n_per_day: int = 20
-    epochs_per_day: int = 1
-    strategy: str = GLOBAL_HOLDOUT
-    allow_short_final: bool = False
-    split_fractions: tuple = SPLIT_FRACTIONS
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-    norm: NormalizationSpec = field(default_factory=NormalizationSpec)
-    seed: int = 0
-    checkpoint_every: int = 25
-    data_root: str = ""
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.total_days < 1 or self.n_per_day < 1:
-            raise ConfigError("batch_size, total_days and n_per_day must be >= 1")
-        if self.epochs_per_day < 1 or self.pretrain_epochs < 1:
-            raise ConfigError("epoch counts must be >= 1")
-        if self.pretrain_size < 0:
-            raise ConfigError("pretrain_size must be >= 0")
-        if math.isnan(self.pretrain_target):
-            raise ConfigError("pretrain_target must be a number, not NaN")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}")
-        if self.loss_kind not in nn.LOSS_KINDS:
-            raise ConfigError(f"loss kind must be one of {nn.LOSS_KINDS}")
-        self.make_optimizer()  # the optimizer's constructor checks its values
-
-    def make_optimizer(self):
-        """A new optimizer of this config's kind and hyperparameters."""
-        return nn.make_optimizer(self.optimizer_kind, lr=self.learning_rate, beta1=self.beta1,
-                                 beta2=self.beta2, epsilon=self.epsilon, momentum=self.momentum)
-
-    def config_hash(self):
-        """sha256 of the config as sorted, compact JSON: nested dataclasses
-        flattened to dotted keys, numbers compared by value (1 and 1.0
-        agree), and `data_root` left out so a moved dataset still resumes."""
-        flat = {}
-        _flatten(self, "", flat)
-        del flat["data_root"]
-        text = json.dumps(flat, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _flatten(value, key, out):
-    """Flatten `value` into `out` as dotted key -> plain JSON value. Items
-    of a list of dataclasses (the layer specs) also record their type."""
-    if is_dataclass(value):
-        for f in fields(value):
-            _flatten(getattr(value, f.name), f"{key}.{f.name}" if key else f.name, out)
-    elif isinstance(value, (list, tuple)) and any(is_dataclass(v) for v in value):
-        for i, item in enumerate(value):
-            out[f"{key}.{i}"] = type(item).__name__
-            _flatten(item, f"{key}.{i}", out)
-    else:
-        out[key] = _plain(value)
-
-
-def _plain(value):
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+from .schedule import GLOBAL_HOLDOUT, day_splits, dayplan_write, plan_days
 
 
 def build_model(config: ExperimentConfig):
@@ -264,7 +179,7 @@ def pretrain(model, optimizer, config, cache, subset_items, val_items):
 METRICS_FILE = "metrics.csv"
 _STATE_FILE = "state.txt"
 _DAYPLAN_FILE = "dayplan.txt"
-_ECHO_FILE = "effective_config.cfg"
+_CONFIG_FILE = "effective_config.cfg"
 _FINAL_CKPT = "ckpt_final.bin"
 
 
@@ -303,15 +218,15 @@ def read_state(out_dir, config):
     return last_day, ckpt_name
 
 
-def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_day=None, echo=None):
+def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_day=None):
     """Split -> optional pretrain -> day loop -> per-day test evaluation.
 
     Reads all it needs before its first write: state.txt, the checkpoint and
     metrics.csv on resume, the data.root split and the evaluation splits. So
     a refused run creates no out_dir and leaves an existing one as it was.
-    Then a fresh run removes state.txt, and the run writes `echo` (the `run`
-    command's config text) as effective_config.cfg, the manifests,
-    dayplan.txt, metrics.csv, checkpoints, state.txt and run_meta.txt.
+    Then a fresh run removes state.txt, and the run writes effective_config.cfg
+    (`format_config` of `config`), the manifests, dayplan.txt, metrics.csv,
+    checkpoints, state.txt and run_meta.txt.
     Returns the RunLog. A resume goes on from the day after the one state.txt
     names, on the split its manifests record; with no state.txt it starts
     from day 1. stop_after_day (>= 1) ends the run early with a checkpoint.
@@ -379,9 +294,8 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         except FileNotFoundError:
             pass
     os.makedirs(out_dir, exist_ok=True)
-    if echo is not None:
-        with replacing_open(os.path.join(out_dir, _ECHO_FILE)) as f:
-            f.write(echo)
+    with replacing_open(os.path.join(out_dir, _CONFIG_FILE)) as f:
+        f.write(format_config(config))
     splits_write(splits, out_dir)
     dayplan_write(days, config.n_per_day, os.path.join(out_dir, _DAYPLAN_FILE))
 
@@ -429,8 +343,6 @@ def _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer_steps, interrup
         f"seed={config.seed}",
         f"total_optimizer_steps={optimizer_steps}",
         f"wall_clock_seconds={time.time() - t0:.3f}",
-        "note=strategy B trains each day on half of the current day plus the half "
-        "of the previous day that was held out for validation",
     ]
     if interrupted_at is not None:
         lines.append(f"interrupted_after_day={interrupted_at}")

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import dataclasses
 import fcntl
@@ -12,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from daylearn import cli, config, data, errors, metrics, nn
+from daylearn import cli, config, data, errors, metrics, nn, protocol
 from daylearn.cli import dispatch
 from daylearn.config import (
-    format_effective_config,
+    format_config,
     load_effective_config,
     parse_layers,
     to_detector_config,
@@ -85,7 +86,7 @@ def test_bad_value_names_key_and_line(tmp_path):
 def test_effective_config_echo_round_trip(tmp_path):
     eff = load_effective_config(overrides=["schedule.days=17"])
     path = tmp_path / "echo.cfg"
-    path.write_text(format_effective_config(eff), encoding="utf-8")
+    path.write_text(format_config(to_experiment_config(eff)), encoding="utf-8")
     again = load_effective_config(path)
     assert again == eff
 
@@ -94,6 +95,28 @@ def test_parse_layers_infers_shapes():
     specs = parse_layers("conv:16:3:1:1,relu,pool:2,flatten,dense:3", 32)
     assert specs[0].in_channels == 1 and specs[0].out_channels == 16
     assert specs[-1].in_features == 16 * 16 * 16 and specs[-1].out_features == 3
+
+
+def test_format_layers_writes_every_field_and_parses_back():
+    # one token per LAYER_KINDS row; conv's omitted stride and padding are written
+    text = "conv:4:3,relu,pool:2,conv:2:3:2:1,flatten,dense:3"
+    specs = parse_layers(text, 16)
+    assert {type(s) for s in specs} == {k.spec for k in nn.LAYER_KINDS}
+    assert nn.format_layers(specs) == "conv:4:3:1:0,relu,pool:2,conv:2:3:2:1,flatten,dense:3"
+    assert parse_layers(nn.format_layers(specs), 16) == specs
+    assert nn.format_layers(parse_layers("conv:16:3,flatten,dense:2", 8)).startswith("conv:16:3:1:0,")
+
+
+def test_config_imports_neither_protocol_nor_cli():
+    # imports run one way: config, then protocol, then cli
+    tree = ast.parse(pathlib.Path(config.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert not {name.rpartition(".")[2] for name in imported} & {"protocol", "cli"}
 
 
 def test_parse_layers_bad_token():
@@ -116,7 +139,7 @@ def test_parse_layers_checks_each_spec():
 
 def test_default_effective_config_bytes_are_pinned(tmp_path):
     # what every run directory's effective_config.cfg holds for the defaults
-    text = format_effective_config(load_effective_config(env={}))
+    text = format_config(to_experiment_config(load_effective_config(env={})))
     assert text.encode("utf-8") == (GOLDEN / "effective_config.cfg").read_bytes()
 
 
@@ -126,6 +149,7 @@ def test_every_config_key_is_a_dataclass_field():
         field = {f.name: f for f in dataclasses.fields(cls)}[name]
         parser, default = config.SCHEMA[key]
         assert default == field.default, key
+        assert type(default).__name__ == field.type, key  # the default's type gives the parser
         assert parser(str(default)) == default, key
     assert config.SCHEMA["model.layers"] == (str, config.DEFAULT_LAYERS)
 
@@ -239,6 +263,21 @@ def _small_run_argv(tmp_path, out, days=2):
             "--model.layers=conv:2:3:1:1,relu,pool:2,flatten,dense:2",
             f"--schedule.days={days}", "--schedule.n_per_day=4", "--protocol.batch_size=4",
             "--protocol.checkpoint_every=1"]
+
+
+def test_library_and_cli_runs_write_the_same_config_record(tmp_path):
+    cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+    assert dispatch(_small_run_argv(tmp_path, cli_out) + ["--detectors.window=5"]) == 0
+    cfg = config.ExperimentConfig(
+        layers=parse_layers("conv:2:3:1:1,relu,pool:2,flatten,dense:2", 8), image_size=8,
+        total_days=2, n_per_day=4, batch_size=4, checkpoint_every=1,
+        momentum=0,  # an int in a float field is written as the CLI reads it, 0.0
+        detectors=metrics.DetectorConfig(window=5), data_root=str(tmp_path / "data"),
+    )
+    protocol.run_experiment(cfg, str(lib_out))
+    record = (lib_out / "effective_config.cfg").read_bytes()
+    assert record == (cli_out / "effective_config.cfg").read_bytes()
+    assert b"detectors.window = 5\n" in record and b"optimizer.momentum = 0.0\n" in record
 
 
 def test_run_held_lock_blocks_concurrent_out(tmp_path, capsys):
@@ -511,6 +550,8 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     ("split", ["--fractions", "nan,nan,nan"], "CONFIG_ERROR: split fractions"),
     ("split", ["--fractions", "1.5,-0.25,-0.25"], "CONFIG_ERROR: split fractions"),
     ("gen-synth", ["--size", "-3"], "CONFIG_ERROR: image size"),
+    # refused before the pattern's arrays are allocated
+    ("gen-synth", ["--size", "100000"], "CONFIG_ERROR: image size must be in 1-4096"),
     ("run", ["--protocol.pretrain_size=-34"], "CONFIG_ERROR: pretrain_size must be >= 0"),
     ("run", ["--data.jitter=inf"], "CONFIG_ERROR: translate_fraction and jitter_fraction"),
     ("run", ["--data.rotate_degrees=inf"], "CONFIG_ERROR: rotation_degrees must be finite"),
@@ -529,7 +570,7 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     ("gen-synth", ["--noise", "-0.5"], "CONFIG_ERROR: noise level must be finite and >= 0"),
     ("gen-synth", ["--noise", "inf"], "CONFIG_ERROR: noise level must be finite and >= 0"),
 ], ids=["batch_0", "batch_negative", "fractions_not_numbers", "fractions_nan",
-        "fractions_negative", "size_negative", "pretrain_size_negative", "jitter_inf",
+        "fractions_negative", "size_negative", "size_huge", "pretrain_size_negative", "jitter_inf",
         "rotate_inf", "translate_huge", "norm_mean_nan", "slope_tol_nan", "var_tol_nan",
         "pretrain_target_nan", "stop_after_day_0", "grad_check_seeds_0", "grad_check_h_0",
         "grad_check_h_nan", "grad_check_tol_nan", "noise_nan", "noise_negative", "noise_inf"])
@@ -851,7 +892,7 @@ def _add_an_image(run_dir, data_root):
 
 @pytest.mark.parametrize("damage,extra,code,err", [
     (_truncate_a_test_image, [], 3, "DATA_ERROR: "),
-    # a detector key is outside the config hash but inside the echo
+    # a detector key is outside the config hash but inside the record
     (_truncate_the_final_checkpoint, ["--resume", "--detectors.window=5"], 1, "CHECKPOINT_ERROR: "),
     (_add_an_image, ["--resume"], 3, "DATA_ERROR: resume refused: the split of the data root differs"),
 ], ids=["unreadable_test_image", "corrupt_checkpoint", "changed_data_root"])

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from daylearn.config import load_effective_config, to_experiment_config
 from daylearn.data import gen_synthetic
 from daylearn.nn import parse_layers
 from daylearn.protocol import ExperimentConfig, run_experiment
@@ -49,20 +50,31 @@ def _config(data_root, fields):
     })
 
 
-def digests(tmp):
-    """{"<run>/<file>": sha256 hex} for every run of RUNS, made under `tmp`."""
+def run_all(tmp):
+    """Make every run of RUNS under `tmp`; yield (name, run directory)."""
     data_root = tmp / "data"
     gen_synthetic(3, 12, 8, 0.05, 2, str(data_root))
-    out = {}
     for name, (fields, stop) in RUNS.items():
         config = _config(data_root, fields)
         run_dir = tmp / name
         if stop is not None:
             run_experiment(config, str(run_dir), stop_after_day=stop)
         run_experiment(config, str(run_dir), resume=stop is not None)
-        for f in FILES:
-            out[f"{name}/{f}"] = hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
-    return out
+        yield name, run_dir
+
+
+def digests(tmp):
+    """{"<run>/<file>": sha256 hex} for every run of RUNS, made under `tmp`."""
+    return {f"{name}/{f}": hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
+            for name, run_dir in run_all(tmp) for f in FILES}
+
+
+def test_every_run_records_the_config_it_ran(tmp_path):
+    # a library run's effective_config.cfg reads back to the config state.txt names
+    for name, run_dir in run_all(tmp_path):
+        record = load_effective_config(run_dir / "effective_config.cfg", env={})
+        state = dict(line.split("=", 1) for line in (run_dir / "state.txt").read_text().splitlines())
+        assert to_experiment_config(record).config_hash() == state["config_hash"], name
 
 
 def _versions():

@@ -13,7 +13,7 @@ from daylearn.data import (
     normalize, pgm_read,
 )
 from daylearn.errors import ConfigError, DataError, UsageError
-from daylearn.metrics import read_metrics
+from daylearn.metrics import DetectorConfig, read_metrics
 from daylearn.protocol import (
     DatasetCache,
     ExperimentConfig,
@@ -374,6 +374,9 @@ def test_resume_refuses_config_mismatch(dataset, tmp_path):
 
 def test_config_hash_leaves_out_data_root(dataset):
     assert small_config(dataset).config_hash() == small_config("/moved/elsewhere").config_hash()
+    # and the detectors, which only `assess` reads
+    detectors = DetectorConfig(window=5, spike_drop=0.5)
+    assert small_config(dataset, detectors=detectors).config_hash() == small_config(dataset).config_hash()
 
 
 def test_config_hash_compares_numbers_by_value(dataset):
