@@ -1,16 +1,14 @@
-"""Command-line entry point.
-
+"""Command-line entry point. Each subcommand parses, calls the library and
+prints; `run` leaves its run directory, lock included, to run_experiment.
 Subcommands: gen-synth, gen-rotated, split, run, evaluate, assess, plot,
-grad-check; each subparser names its handler (args, overrides). Exit
-codes: 0 success, else the raised DaylearnError's `exit_code` (errors.py:
-1 runtime/numeric/checkpoint, 2 usage or config, 3 data), or 1 for any
-other OSError.
+grad-check; each subparser names its handler (args, overrides). Exit codes:
+0 success, else the raised DaylearnError's `exit_code` (errors.py: 1 runtime/
+numeric/checkpoint, 2 usage or config, 3 data), or 1 for any other OSError.
 """
 
 from __future__ import annotations
 
 import argparse
-import fcntl
 import os
 import sys
 
@@ -30,11 +28,9 @@ from .data import (
 )
 from .errors import ConfigError, DataError, DaylearnError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
-from .protocol import METRICS_FILE, load_split, run_experiment
+from .protocol import CONFIG_FILE, METRICS_FILE, load_split, run_experiment
 from .protocol import evaluate as evaluate_model
 from .rng import substream
-
-_LOCK_NAME = "lock"
 
 
 def _build_parser():
@@ -137,39 +133,12 @@ def _cmd_split(args, overrides):
 
 
 def _cmd_run(args, overrides):
-    if args.stop_after_day is not None and args.stop_after_day < 1:
-        raise UsageError(f"--stop-after-day must be >= 1, got {args.stop_after_day}")
     if args.seed is not None:
         overrides = list(overrides) + [f"protocol.seed={args.seed}"]
     config = to_experiment_config(load_effective_config(args.config, overrides))
-    os.makedirs(args.out, exist_ok=True)
-    lock_fd = _acquire_lock(args.out)
-    try:
-        log = run_experiment(config, args.out, resume=args.resume, stop_after_day=args.stop_after_day)
-    finally:
-        os.close(lock_fd)
+    log = run_experiment(config, args.out, resume=args.resume, stop_after_day=args.stop_after_day)
     print(f"run {log.run_id}: {len(log.records)} metric records in {args.out}")
     return 0
-
-
-def _acquire_lock(out):
-    """Hold an exclusive flock on `out`/lock; return its descriptor.
-
-    The kernel drops the lock when its holder exits, however it exits, so
-    a killed run never blocks the next one. The file itself is never
-    removed and means nothing without a holder: unlinking it would let one
-    invocation lock the old inode and another a new one. O_RDWR because
-    NFS emulates flock with POSIX locks, which need a writable descriptor.
-    """
-    fd = os.open(os.path.join(out, _LOCK_NAME), os.O_RDWR | os.O_CREAT, 0o666)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except OSError as e:
-        os.close(fd)
-        if isinstance(e, BlockingIOError):
-            raise UsageError(f"run directory {out} is locked by another invocation") from None
-        raise
-    return fd
 
 
 def _cmd_evaluate(args, overrides):
@@ -184,7 +153,9 @@ def _cmd_evaluate(args, overrides):
 
 
 def _cmd_assess(args, overrides):
-    effective = load_effective_config(args.config, overrides)
+    record = os.path.join(args.run, CONFIG_FILE)  # a run made before records existed has none
+    base = load_effective_config(record, env={}) if os.path.exists(record) else None
+    effective = load_effective_config(args.config, overrides, base=base)
     detector = to_detector_config(effective)
     log = read_metrics(os.path.join(args.run, METRICS_FILE))
     report = training_assessment(log, detector)

@@ -2,10 +2,11 @@
 
 Config text is flat `section.key = value` lines; `format_config` writes a
 config as one such line per key, as every run's effective_config.cfg.
-Effective config = defaults, overlaid by DAYLEARN_* environment variables,
-the file, then command-line overrides (highest precedence). Unknown keys
-are rejected. Each key sets one dataclass field (FIELDS), whose default is
-the key's default and whose default's type gives the key's parser.
+Effective config = defaults (for `assess`, then a run's record), overlaid
+by DAYLEARN_* environment variables, the file, then command-line overrides
+(highest precedence). Unknown keys are rejected. Each key sets one dataclass
+field (FIELDS), whose default is the key's default and whose default's type
+gives the key's parser.
 """
 
 from __future__ import annotations
@@ -183,9 +184,9 @@ def _apply(effective, key, raw, where):
         raise ConfigError(f"bad value for {key!r} ({where}): {e}")
 
 
-def load_effective_config(path=None, overrides=(), env=None):
-    """Resolve the effective key->value map with full precedence."""
-    effective = {k: d for k, (_, d) in SCHEMA.items()}
+def load_effective_config(path=None, overrides=(), env=None, base=None):
+    """Resolve the effective key->value map over `base` (a map this returned) or the defaults."""
+    effective = dict(base) if base is not None else {k: d for k, (_, d) in SCHEMA.items()}
     env = os.environ if env is None else env
     for key in SCHEMA:
         env_key = ENV_PREFIX + key.upper().replace(".", "__")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import read_text, replacing_open
-from .errors import DataError, UsageError
+from .errors import ConfigError, DataError, UsageError
 
 PHASES = ("pretrain", "sequential")
 
@@ -124,11 +124,11 @@ class DetectorConfig:
 
     def __post_init__(self):
         if self.window < 2:
-            raise UsageError("detector window must be >= 2")
+            raise ConfigError("detector window must be >= 2")
         if not (self.slope_tolerance >= 0 and self.variance_tolerance >= 0):  # also rejects NaN
-            raise UsageError("tolerances must be >= 0")
+            raise ConfigError("tolerances must be >= 0")
         if not 0 < self.spike_drop <= 1:
-            raise UsageError("spike_drop must be in (0,1]")
+            raise ConfigError("spike_drop must be in (0,1]")
 
 
 def window_stats(values):
@@ -206,6 +206,8 @@ def emit_plot(log: RunLog, series_names, path, phase="sequential"):
     """Deterministic standalone SVG line chart of the selected series."""
     if not series_names:
         raise UsageError("no series selected")
+    if phase not in PHASES:
+        raise UsageError(f"phase must be one of {PHASES}, got {phase!r}")
     picked = {}
     for name in series_names:
         if name not in _METRIC_FIELDS:

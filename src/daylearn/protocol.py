@@ -1,8 +1,8 @@
 """Experiment orchestration: pre-training, the per-day sequential loop,
 global-test evaluation, checkpoint cadence, and resume.
 
-A run's config is an `ExperimentConfig` (config.py); `run_experiment`
-records it in the run directory as effective_config.cfg, whoever calls it.
+`run_experiment` owns the run directory, whoever calls it: it makes and
+locks it, and records the run's `ExperimentConfig` as effective_config.cfg.
 
 All randomness is drawn from substreams keyed by (seed, purpose, day,
 epoch). Each training epoch draws one shuffle and one augmentation table
@@ -13,8 +13,10 @@ reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import time
+from contextlib import ExitStack
 from itertools import islice
 
 import numpy as np
@@ -177,10 +179,31 @@ def pretrain(model, optimizer, config, cache, subset_items, val_items):
 # ---------------------------------------------------------------------------
 
 METRICS_FILE = "metrics.csv"
+CONFIG_FILE = "effective_config.cfg"
 _STATE_FILE = "state.txt"
 _DAYPLAN_FILE = "dayplan.txt"
-_CONFIG_FILE = "effective_config.cfg"
 _FINAL_CKPT = "ckpt_final.bin"
+_LOCK_NAME = "lock"
+
+
+def _acquire_lock(out):
+    """Hold an exclusive flock on `out`/lock; return its descriptor.
+
+    The kernel drops the lock when its holder exits, however it exits, so
+    a killed run never blocks the next one. The file itself is never
+    removed and means nothing without a holder: unlinking it would let one
+    invocation lock the old inode and another a new one. O_RDWR because
+    NFS emulates flock with POSIX locks, which need a writable descriptor.
+    """
+    fd = os.open(os.path.join(out, _LOCK_NAME), os.O_RDWR | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as e:
+        os.close(fd)
+        if isinstance(e, BlockingIOError):
+            raise UsageError(f"run directory {out} is locked by another invocation") from None
+        raise
+    return fd
 
 
 def _write_state(out_dir, config_hash, last_day, ckpt_name):
@@ -221,12 +244,14 @@ def read_state(out_dir, config):
 def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_day=None):
     """Split -> optional pretrain -> day loop -> per-day test evaluation.
 
-    Reads all it needs before its first write: state.txt, the checkpoint and
-    metrics.csv on resume, the data.root split and the evaluation splits. So
-    a refused run creates no out_dir and leaves an existing one as it was.
-    Then a fresh run removes state.txt, and the run writes effective_config.cfg
-    (`format_config` of `config`), the manifests, dayplan.txt, metrics.csv,
-    checkpoints, state.txt and run_meta.txt.
+    The only writer of out_dir: locks it (flock on out_dir/lock, UsageError
+    when held) before its first read, or a new one as it makes it, and reads
+    all it needs before its first write: state.txt, the checkpoint and
+    metrics.csv on resume, the data.root split and the evaluation splits. So a
+    refused run creates no out_dir and leaves an existing one as it was, bar
+    an empty lock. A fresh run then removes state.txt, and the run writes
+    effective_config.cfg (`format_config` of `config`), the manifests,
+    dayplan.txt, metrics.csv, checkpoints, state.txt and run_meta.txt.
     Returns the RunLog. A resume goes on from the day after the one state.txt
     names, on the split its manifests record; with no state.txt it starts
     from day 1. stop_after_day (>= 1) ends the run early with a checkpoint.
@@ -235,104 +260,113 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         raise ConfigError("a data root is required (config key 'data.root')")
     if stop_after_day is not None and stop_after_day < 1:
         raise UsageError(f"stop_after_day must be >= 1, got {stop_after_day}")
-    t0 = time.time()
-    cfg_hash = config.config_hash()
-    run_id = cfg_hash[:8]
-    state = read_state(out_dir, config) if resume else None
+    with ExitStack() as held:  # closes the lock's descriptor on every exit
+        new_dir = not os.path.exists(out_dir)
+        if not new_dir:  # locked before its first read
+            held.callback(os.close, _acquire_lock(out_dir))
+        t0 = time.time()
+        cfg_hash = config.config_hash()
+        run_id = cfg_hash[:8]
+        state = read_state(out_dir, config) if resume else None
 
-    manifest = ingest_directory(config.data_root)
-    if len(manifest.class_names) < 2:
-        raise DataError("training needs at least 2 classes")
-    # from the layer specs, before the first write: building the model here,
-    # not after the splits load, measured 15-29% slower cli_resume_ckpt set-up
-    (logits,) = nn.output_shape(config.layers, (1, config.image_size, config.image_size))
-    if logits != len(manifest.class_names):
-        raise ConfigError(
-            f"model emits {logits} logits but the dataset has {len(manifest.class_names)} classes"
+        manifest = ingest_directory(config.data_root)
+        if len(manifest.class_names) < 2:
+            raise DataError("training needs at least 2 classes")
+        # from the layer specs, before the first write: building the model here,
+        # not after the splits load, measured 15-29% slower cli_resume_ckpt set-up
+        (logits,) = nn.output_shape(config.layers, (1, config.image_size, config.image_size))
+        if logits != len(manifest.class_names):
+            raise ConfigError(
+                f"model emits {logits} logits but the dataset has {len(manifest.class_names)} classes"
+            )
+        train_m, val_m, test_m = splits = split_manifest(
+            manifest, fractions=config.split_fractions, seed=config.seed
         )
-    train_m, val_m, test_m = splits = split_manifest(
-        manifest, fractions=config.split_fractions, seed=config.seed
-    )
-    if state is not None:  # the days done trained on the split the directory records
-        splits_check(splits, out_dir)
-    shape = (config.image_size, config.image_size)
-    cache = DatasetCache(config.data_root, train_m, shape)
+        if state is not None:  # the days done trained on the split the directory records
+            splits_check(splits, out_dir)
+        shape = (config.image_size, config.image_size)
+        cache = DatasetCache(config.data_root, train_m, shape)
 
-    # the pre-training rows are carved out first and the day plan shuffles
-    # the rest; with pretrain_size 0 the rest is every row of the train split
-    if config.pretrain_size > len(train_m):
-        raise ConfigError(f"pretrain_size {config.pretrain_size} exceeds train split {len(train_m)}")
-    perm = substream(config.seed, "pretrain_subset").permutation(len(train_m))
-    subset_idx = np.sort(perm[: config.pretrain_size])
-    rest_idx = np.sort(perm[config.pretrain_size :])
+        # the pre-training rows are carved out first and the day plan shuffles
+        # the rest; with pretrain_size 0 the rest is every row of the train split
+        if config.pretrain_size > len(train_m):
+            raise ConfigError(f"pretrain_size {config.pretrain_size} exceeds train split {len(train_m)}")
+        perm = substream(config.seed, "pretrain_subset").permutation(len(train_m))
+        subset_idx = np.sort(perm[: config.pretrain_size])
+        rest_idx = np.sort(perm[config.pretrain_size :])
 
-    days = plan_days(rest_idx, config.n_per_day, config.total_days, config.seed,
-                     allow_short_final=config.allow_short_final)
-    daily_splits = day_splits(config.strategy, days, config.seed)
+        days = plan_days(rest_idx, config.n_per_day, config.total_days, config.seed,
+                         allow_short_final=config.allow_short_final)
+        daily_splits = day_splits(config.strategy, days, config.seed)
 
-    # the global validation split is read only by pre-training, which a run
-    # with a state has done, and by the global strategy; a run that needs
-    # neither never loads it
-    reads_val = (len(subset_idx) > 0 and state is None) or config.strategy == GLOBAL_HOLDOUT
-    val_split = load_split(config.data_root, val_m, config.norm, shape) if reads_val else None
-    test_split = load_split(config.data_root, test_m, config.norm, shape)
+        # the global validation split is read only by pre-training, which a run
+        # with a state has done, and by the global strategy; a run that needs
+        # neither never loads it
+        reads_val = (len(subset_idx) > 0 and state is None) or config.strategy == GLOBAL_HOLDOUT
+        val_split = load_split(config.data_root, val_m, config.norm, shape) if reads_val else None
+        test_split = load_split(config.data_root, test_m, config.norm, shape)
 
-    metrics_path = os.path.join(out_dir, METRICS_FILE)
-    last_day, records = 0, []
-    if state is not None:
-        last_day, ckpt_name = state
-        model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
-        # read_metrics drops a row torn by a kill mid-append; pre-training
-        # rows are day 0, so they stay
-        records = [r for r in read_metrics(metrics_path).records if r.day <= last_day]
+        metrics_path = os.path.join(out_dir, METRICS_FILE)
+        last_day, records = 0, []
+        if state is not None:
+            last_day, ckpt_name = state
+            model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
+            # read_metrics drops a row torn by a kill mid-append; pre-training
+            # rows are day 0, so they stay
+            records = [r for r in read_metrics(metrics_path).records if r.day <= last_day]
 
-    if not resume:
-        # a fresh run over an old one: a kill before its first checkpoint
-        # must not leave the old state.txt for a resume to trust
-        try:
-            os.remove(os.path.join(out_dir, _STATE_FILE))
-        except FileNotFoundError:
-            pass
-    os.makedirs(out_dir, exist_ok=True)
-    with replacing_open(os.path.join(out_dir, _CONFIG_FILE)) as f:
-        f.write(format_config(config))
-    splits_write(splits, out_dir)
-    dayplan_write(days, config.n_per_day, os.path.join(out_dir, _DAYPLAN_FILE))
+        if new_dir:  # made at the start of the write phase, so a refused run leaves none
+            try:
+                os.makedirs(out_dir)
+            except FileExistsError:
+                raise UsageError(f"run directory {out_dir} was made by another invocation") from None
+            held.callback(os.close, _acquire_lock(out_dir))
+        if not resume:
+            # a fresh run over an old one: a kill before its first checkpoint
+            # must not leave the old state.txt for a resume to trust
+            try:
+                os.remove(os.path.join(out_dir, _STATE_FILE))
+            except FileNotFoundError:
+                pass
+        with replacing_open(os.path.join(out_dir, CONFIG_FILE)) as f:
+            f.write(format_config(config))
+        splits_write(splits, out_dir)
+        dayplan_write(days, config.n_per_day, os.path.join(out_dir, _DAYPLAN_FILE))
 
-    if state is None:
-        model, optimizer = build_model(config), config.make_optimizer()
-        if len(subset_idx):
-            records = pretrain(model, optimizer, config, cache, subset_idx, val_split)
-    log = RunLog(run_id, records)
-    write_metrics(log, metrics_path)
+        if state is None:
+            model, optimizer = build_model(config), config.make_optimizer()
+            if len(subset_idx):
+                records = pretrain(model, optimizer, config, cache, subset_idx, val_split)
+        log = RunLog(run_id, records)
+        write_metrics(log, metrics_path)
 
-    # the days before a resume's first are drawn and skipped
-    for day, (train_rows, val_rows) in islice(enumerate(daily_splits, start=1), last_day, None):
-        if val_rows is None:
-            day_val = val_split
-        else:
-            day_val = (normalize(cache.take(val_rows), config.norm), cache.labels[val_rows])
-        records = run_day(model, optimizer, config, cache, train_rows, day_val, day)
-        test_loss, test_acc = evaluate(model, *test_split, config.loss_kind, config.batch_size)
-        records[-1].test_loss = test_loss
-        records[-1].test_acc = test_acc
-        log.records.extend(records)
-        append_metrics(run_id, records, metrics_path)
+        # the days before a resume's first are drawn and skipped
+        for day, (train_rows, val_rows) in islice(enumerate(daily_splits, start=1), last_day, None):
+            if val_rows is None:
+                day_val = val_split
+            else:
+                day_val = (normalize(cache.take(val_rows), config.norm), cache.labels[val_rows])
+            records = run_day(model, optimizer, config, cache, train_rows, day_val, day)
+            test_loss, test_acc = evaluate(model, *test_split, config.loss_kind, config.batch_size)
+            records[-1].test_loss = test_loss
+            records[-1].test_acc = test_acc
+            log.records.extend(records)
+            append_metrics(run_id, records, metrics_path)
 
-        at_cadence = config.checkpoint_every > 0 and day % config.checkpoint_every == 0
-        stopping = stop_after_day is not None and day >= stop_after_day
-        if at_cadence or stopping:
-            ckpt_name = f"ckpt_day_{day:05d}.bin"
-            nn.checkpoint_save(model, optimizer, os.path.join(out_dir, ckpt_name))
-            _write_state(out_dir, cfg_hash, day, ckpt_name)
-        if stopping:
-            _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer.t, interrupted_at=day)
-            return log
+            at_cadence = config.checkpoint_every > 0 and day % config.checkpoint_every == 0
+            stopping = stop_after_day is not None and day >= stop_after_day
+            if at_cadence or stopping:
+                ckpt_name = f"ckpt_day_{day:05d}.bin"
+                nn.checkpoint_save(model, optimizer, os.path.join(out_dir, ckpt_name))
+                _write_state(out_dir, cfg_hash, day, ckpt_name)
+            if stopping:
+                _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer.t, interrupted_at=day)
+                return log
 
-    nn.checkpoint_save(model, optimizer, os.path.join(out_dir, _FINAL_CKPT))
-    _write_state(out_dir, cfg_hash, len(days), _FINAL_CKPT)
-    _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer.t)
-    return log
+        nn.checkpoint_save(model, optimizer, os.path.join(out_dir, _FINAL_CKPT))
+        _write_state(out_dir, cfg_hash, len(days), _FINAL_CKPT)
+        _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer.t)
+        return log
 
 
 def _write_meta(out_dir, config, run_id, cfg_hash, t0, optimizer_steps, interrupted_at=None):

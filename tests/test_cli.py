@@ -221,6 +221,7 @@ def test_gen_rotated_source_class_filter(tmp_path):
 def test_run_missing_data_root_exits_2(tmp_path, capsys):
     assert dispatch(["run", "--out", str(tmp_path / "r")]) == 2
     assert "CONFIG_ERROR" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_evaluate_assess_plot_end_to_end(tmp_path, capsys):
@@ -236,7 +237,7 @@ def test_run_evaluate_assess_plot_end_to_end(tmp_path, capsys):
     ])
     assert rc == 0
     assert (out / "effective_config.cfg").exists()
-    os.close(cli._acquire_lock(out))  # the run let its lock go
+    os.close(protocol._acquire_lock(out))  # the run let its lock go
 
     rc = dispatch(["evaluate", "--checkpoint", str(out / "ckpt_final.bin"),
                    "--manifest", str(out / "test.txt"), "--data-root", str(dd),
@@ -296,6 +297,29 @@ def test_run_held_lock_blocks_concurrent_out(tmp_path, capsys):
     assert dispatch(argv) == 0
 
 
+def test_library_run_takes_the_lock_and_lets_it_go_on_a_raise(tmp_path, monkeypatch):
+    out = tmp_path / "r"
+    out.mkdir()
+    overrides = [tok[2:] for tok in _small_run_argv(tmp_path, out)[3:]]
+    cfg = to_experiment_config(load_effective_config(overrides=overrides, env={}))
+    fd = protocol._acquire_lock(out)
+    try:
+        with pytest.raises(errors.UsageError, match="is locked by another invocation"):
+            protocol.run_experiment(cfg, out)
+        assert not (out / "metrics.csv").exists()
+    finally:
+        os.close(fd)
+
+    def crash(*args):
+        raise _Crash("stopped inside the first day")
+
+    monkeypatch.setattr(protocol, "run_day", crash)
+    with pytest.raises(_Crash):
+        protocol.run_experiment(cfg, out)
+    monkeypatch.undo()
+    os.close(protocol._acquire_lock(out))  # the raising run let its lock go
+
+
 def _lock_child(code, *args):
     """A Python child running `code` with daylearn importable, its stdin
     and stdout piped as text."""
@@ -309,8 +333,8 @@ def test_run_lock_of_a_killed_process_frees_itself(tmp_path):
     out.mkdir()
     argv = _small_run_argv(tmp_path, out)
     child = _lock_child("import sys, time\n"
-                        "from daylearn import cli\n"
-                        "cli._acquire_lock(sys.argv[1])\n"
+                        "from daylearn import protocol\n"
+                        "protocol._acquire_lock(sys.argv[1])\n"
                         "print('held', flush=True)\n"
                         "time.sleep(60)\n", str(out))
     try:
@@ -339,14 +363,14 @@ def test_run_lock_race_has_exactly_one_winner(tmp_path):
     dead = subprocess.Popen([sys.executable, "-c", "pass"])
     dead.wait()  # reaped: its pid names no live process
     code = ("import sys, time\n"
-            "from daylearn import cli\n"
+            "from daylearn import protocol\n"
             "from daylearn.errors import UsageError\n"
             "print('ready', flush=True)\n"
             "for line in sys.stdin:\n"
             "    out, start = line.split()\n"
             "    time.sleep(max(0.0, float(start) - time.time()))\n"
             "    try:\n"
-            "        cli._acquire_lock(out)\n"
+            "        protocol._acquire_lock(out)\n"
             "        print('won', flush=True)\n"
             "    except UsageError:\n"
             "        print('locked', flush=True)\n")
@@ -369,6 +393,51 @@ def test_run_lock_race_has_exactly_one_winner(tmp_path):
         for child in children:
             child.wait(timeout=60)
             child.stdout.close()
+
+
+def test_run_race_for_a_new_directory_has_exactly_one_writer(tmp_path):
+    # 4 runs of different seeds start at one instant on a directory that does
+    # not exist yet; the winner holds the lock in its first day until told
+    out = tmp_path / "r"
+    argv = _small_run_argv(tmp_path, out)
+    code = ("import contextlib, sys, time\n"
+            "from daylearn import cli, protocol\n"
+            "run_day = protocol.run_day\n"
+            "def held(*args):\n"
+            "    protocol.run_day = run_day\n"
+            "    print('won', flush=True)\n"
+            "    sys.stdin.readline()\n"
+            "    return run_day(*args)\n"
+            "protocol.run_day = held\n"
+            "print('ready', flush=True)\n"
+            "time.sleep(max(0.0, float(sys.stdin.readline()) - time.time()))\n"
+            "with contextlib.redirect_stderr(sys.stdout):\n"
+            "    sys.exit(cli.dispatch(sys.argv[1:]))\n")
+    children = [_lock_child(code, *argv, "--seed", str(seed)) for seed in range(4)]
+    try:
+        assert [child.stdout.readline() for child in children] == ["ready\n"] * 4
+        start = time.time() + 0.2
+        for child in children:
+            child.stdin.write(f"{start}\n")
+            child.stdin.flush()
+        lines = [child.stdout.readline() for child in children]
+        assert lines.count("won\n") == 1, lines
+        winner = lines.index("won\n")
+        for seed, child in enumerate(children):
+            if seed != winner:
+                assert lines[seed].startswith("USAGE_ERROR: run directory"), lines[seed]
+                assert child.wait(timeout=60) == 2
+        assert dispatch(argv) == 2  # the winner still holds the lock
+        children[winner].stdin.write("go\n")
+        children[winner].stdin.flush()
+        assert children[winner].wait(timeout=120) == 0
+    finally:
+        for child in children:
+            child.kill()
+            child.communicate()
+    # every file is the winner's: a loser's seed would change the record
+    assert f"protocol.seed = {winner}\n" in (out / "effective_config.cfg").read_text()
+    assert (out / "ckpt_final.bin").exists()
 
 
 class _Crash(Exception):
@@ -557,11 +626,11 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     ("run", ["--data.rotate_degrees=inf"], "CONFIG_ERROR: rotation_degrees must be finite"),
     ("run", ["--data.translate=1e300"], "CONFIG_ERROR: translate_fraction and jitter_fraction"),
     ("evaluate", ["--norm-mean", "nan"], "CONFIG_ERROR: normalization mean must be finite"),
-    ("assess", ["--detectors.slope_tol=nan"], "USAGE_ERROR: tolerances"),
-    ("assess", ["--detectors.var_tol=nan"], "USAGE_ERROR: tolerances"),
+    ("assess", ["--detectors.slope_tol=nan"], "CONFIG_ERROR: tolerances"),
+    ("assess", ["--detectors.var_tol=nan"], "CONFIG_ERROR: tolerances"),
     ("run", ["--protocol.pretrain_target=nan", "--protocol.pretrain_size=4"],
      "CONFIG_ERROR: pretrain_target must be a number"),
-    ("run", ["--stop-after-day", "0"], "USAGE_ERROR: --stop-after-day must be >= 1"),
+    ("run", ["--stop-after-day", "0"], "USAGE_ERROR: stop_after_day must be >= 1"),
     ("grad-check", ["--seeds", "0"], "USAGE_ERROR: --seeds must be >= 1"),
     ("grad-check", ["--h", "0"], "USAGE_ERROR: --h must be finite and > 0"),
     ("grad-check", ["--h", "nan"], "USAGE_ERROR: --h must be finite and > 0"),
@@ -569,23 +638,30 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     ("gen-synth", ["--noise", "nan"], "CONFIG_ERROR: noise level must be finite and >= 0"),
     ("gen-synth", ["--noise", "-0.5"], "CONFIG_ERROR: noise level must be finite and >= 0"),
     ("gen-synth", ["--noise", "inf"], "CONFIG_ERROR: noise level must be finite and >= 0"),
+    ("plot", ["--phase", "bogus"], "USAGE_ERROR: phase must be one of ('pretrain', 'sequential')"),
 ], ids=["batch_0", "batch_negative", "fractions_not_numbers", "fractions_nan",
         "fractions_negative", "size_negative", "size_huge", "pretrain_size_negative", "jitter_inf",
         "rotate_inf", "translate_huge", "norm_mean_nan", "slope_tol_nan", "var_tol_nan",
         "pretrain_target_nan", "stop_after_day_0", "grad_check_seeds_0", "grad_check_h_0",
-        "grad_check_h_nan", "grad_check_tol_nan", "noise_nan", "noise_negative", "noise_inf"])
+        "grad_check_h_nan", "grad_check_tol_nan", "noise_nan", "noise_negative", "noise_inf",
+        "plot_phase_bogus"])
 def test_bad_numeric_argument_is_a_typed_error(tmp_path, capsys, command, args, prefix):
     dd = tmp_path / "data"
     data.gen_synthetic(2, 4, 8, 0.05, 0, str(dd))
     ckpt = tmp_path / "model.bin"
     model = nn.Model(parse_layers("conv:2:3:1:1,relu,pool:2,flatten,dense:2", 8), (1, 8, 8))
     nn.checkpoint_save(model, nn.Adam(1e-3), str(ckpt))
+    plotted = tmp_path / "plotted"
+    plotted.mkdir()
+    record = metrics.MetricsRecord(1, 1, "sequential", val_acc=0.5)
+    metrics.write_metrics(metrics.RunLog("r", [record]), plotted / "metrics.csv")
     paths = {
         "evaluate": ["--checkpoint", str(ckpt), "--manifest", str(dd / "manifest.txt")],
         "split": ["--data", str(dd), "--out", str(tmp_path / "split")],
         "gen-synth": ["--out", str(tmp_path / "synth")],
         "run": _small_run_argv(tmp_path, tmp_path / "r")[1:],
         "assess": ["--run", str(tmp_path / "r")],
+        "plot": ["--run", str(plotted), "--out", str(tmp_path / "acc.svg")],
         "grad-check": [],
     }
     assert dispatch([command, *paths[command], *args]) == 2
@@ -857,12 +933,37 @@ def test_bad_optimizer_value_is_refused_before_the_run_directory_exists(tmp_path
     assert not out.exists()
 
 
+def test_assess_applies_the_detectors_the_run_recorded(tmp_path, capsys, monkeypatch):
+    # 3 days give 3 validation points: window 2 or 3 assesses, 4 and up refuse
+    out = tmp_path / "r"
+    assert dispatch(_small_run_argv(tmp_path, out, days=3) + ["--detectors.window=2"]) == 0
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("detectors.window = 3\n")
+
+    def assess(*extra):
+        capsys.readouterr()
+        code = dispatch(["assess", "--run", str(out), *extra])
+        return code, capsys.readouterr().err
+
+    assert assess() == (0, "")
+    # precedence: defaults < record < environment < --config < overrides
+    assert assess("--detectors.window=4") == (2, "USAGE_ERROR: validation series has 3 points, "
+                                                 "need >= window 4\n")
+    monkeypatch.setenv("DAYLEARN_DETECTORS__WINDOW", "5")
+    assert assess()[1].endswith("need >= window 5\n")
+    assert assess("--config", str(cfg)) == (0, "")
+    assert assess("--config", str(cfg), "--detectors.window=6")[1].endswith("window 6\n")
+    monkeypatch.delenv("DAYLEARN_DETECTORS__WINDOW")
+    (out / "effective_config.cfg").unlink()  # a run with no record: the defaults
+    assert assess()[1].endswith("need >= window 20\n")
+
+
 def test_class_count_mismatch_is_refused_before_manifests_and_day_plan(tmp_path, capsys):
     out = tmp_path / "r"
     argv = _small_run_argv(tmp_path, out) + ["--model.layers=conv:2:3:1:1,relu,pool:2,flatten,dense:4"]
     assert dispatch(argv) == 2
     assert capsys.readouterr().err == "CONFIG_ERROR: model emits 4 logits but the dataset has 2 classes\n"
-    assert sorted(p.name for p in out.iterdir()) == ["lock"]
+    assert not out.exists()
 
 
 def test_odd_short_final_day_is_refused_before_the_first_day(tmp_path, capsys):
@@ -873,7 +974,7 @@ def test_odd_short_final_day_is_refused_before_the_first_day(tmp_path, capsys):
         "--schedule.allow_short_final=true"]
     assert dispatch(argv) == 2
     assert capsys.readouterr().err == "CONFIG_ERROR: half-split strategy needs an even day size, got 3\n"
-    assert sorted(p.name for p in out.iterdir()) == ["lock"]
+    assert not out.exists()
 
 
 def _truncate_a_test_image(run_dir, data_root):
@@ -906,9 +1007,9 @@ def test_refused_run_over_a_finished_run_writes_nothing(tmp_path, capsys, damage
     assert dispatch(argv + extra) == code
     assert capsys.readouterr().err.startswith(err)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
-    # a refused run in a new directory leaves only its lock; a resume there
+    # a refused run in a new directory leaves no directory; a resume there
     # has no state.txt, so it starts from day 1 and is not refused
     if "--resume" not in extra:
         new = tmp_path / "new"
         assert dispatch(_small_run_argv(tmp_path, new, days=4) + extra) == code
-        assert sorted(p.name for p in new.iterdir()) == ["lock"]
+        assert not new.exists()

@@ -19,7 +19,7 @@ from daylearn.cli import dispatch  # noqa: E402
 
 PREFIXES = ("USAGE_ERROR: ", "CONFIG_ERROR: ", "DATA_ERROR: ", "NUMERIC_ERROR: ",
             "CHECKPOINT_ERROR: ", "IO_ERROR: ")
-TARGETS = ("metrics.csv", "state.txt", "test.txt", "image", "config")
+TARGETS = ("metrics.csv", "state.txt", "test.txt", "effective_config.cfg", "image", "config")
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,7 @@ def pristine(tmp_path_factory):
         f"data.root = {root}\ndata.image_size = 8\n"
         "model.layers = conv:2:3:1:1,relu,pool:2,flatten,dense:2\n"
         "schedule.days = 2\nschedule.n_per_day = 4\nprotocol.batch_size = 4\n"
+        "detectors.window = 2\n"  # recorded, so `assess` with no config assesses the run
     )
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(["run", "--config", str(config), "--out", str(base / "run")]) == 0
@@ -74,6 +75,7 @@ def test_corrupt_file_gives_a_typed_exit_code(pristine, target, edits, cut):
         try:
             for argv in (
                 ["assess", "--run", run, "--config", config, "--detectors.window=2"],
+                ["assess", "--run", run],  # the run's effective_config.cfg is its only config
                 ["plot", "--run", run, "--out", os.path.join(work, "acc.svg")],
                 ["evaluate", "--checkpoint", os.path.join(run, "ckpt_final.bin"),
                  "--manifest", os.path.join(run, "test.txt"), "--data-root", str(root)],
