@@ -1,5 +1,6 @@
 """Command-line entry point. Each subcommand parses, calls the library and
-prints; `run` leaves its run directory, lock included, to run_experiment.
+prints; `run` leaves its run directory, lock included, to run_experiment, and
+`assess` and `evaluate` resolve their config over its record (`read_record`).
 Subcommands: gen-synth, gen-rotated, split, run, evaluate, assess, plot,
 grad-check; each subparser names its handler (args, overrides). Exit codes:
 0 success, else the raised DaylearnError's `exit_code` (errors.py: 1 runtime/
@@ -15,10 +16,9 @@ import sys
 import numpy as np
 
 from . import nn
-from .config import ExperimentConfig, load_effective_config, to_detector_config, to_experiment_config
+from .config import load_effective_config, to_experiment_config
 from .data import (
     SPLIT_FRACTIONS,
-    NormalizationSpec,
     build_rotated_dataset,
     gen_synthetic,
     ingest_directory,
@@ -28,7 +28,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, DaylearnError, UsageError
 from .metrics import emit_plot, read_metrics, training_assessment
-from .protocol import CONFIG_FILE, METRICS_FILE, load_split, run_experiment
+from .protocol import METRICS_FILE, load_split, read_record, run_experiment
 from .protocol import evaluate as evaluate_model
 from .rng import substream
 
@@ -69,15 +69,12 @@ def _build_parser():
     sp.add_argument("--resume", action="store_true")
     sp.add_argument("--stop-after-day", type=int, default=None)
 
-    sp = command("evaluate", _cmd_evaluate, "evaluate a checkpoint on a manifest")
-    sp.add_argument("--checkpoint", required=True)
+    sp = command("evaluate", _cmd_evaluate, "evaluate a checkpoint on a manifest", overrides=True)
+    sp.add_argument("--checkpoint", required=True, help="its directory's effective_config.cfg gives the config")
     sp.add_argument("--manifest", required=True)
-    sp.add_argument("--loss", default=ExperimentConfig.loss_kind, choices=list(nn.LOSS_KINDS))
-    sp.add_argument("--batch-size", type=int, default=ExperimentConfig.batch_size)
-    sp.add_argument("--norm-mean", type=float, default=NormalizationSpec.mean)
-    sp.add_argument("--norm-std", type=float, default=NormalizationSpec.std)
+    sp.add_argument("--loss", default=None, help="shorthand for --protocol.loss")
     sp.add_argument("--data-root", default=None,
-                    help="image root (default: the manifest's directory)")
+                    help="image root (default: data.root for a run's own manifests, else their directory)")
 
     sp = command("assess", _cmd_assess, "hold-out-free training assessment", overrides=True)
     sp.add_argument("--run", required=True, help="run directory")
@@ -142,23 +139,25 @@ def _cmd_run(args, overrides):
 
 
 def _cmd_evaluate(args, overrides):
+    run_dir = os.path.dirname(os.path.abspath(args.checkpoint))
+    record = read_record(run_dir)
+    if args.loss is not None:
+        overrides = list(overrides) + [f"protocol.loss={args.loss}"]
+    config = to_experiment_config(load_effective_config(None, overrides, base=record))
     model, _ = nn.checkpoint_load(args.checkpoint)
-    manifest = manifest_read(args.manifest)
-    spec = NormalizationSpec(args.norm_mean, args.norm_std)
-    root = args.data_root or os.path.dirname(os.path.abspath(args.manifest))
-    x, labels = load_split(root, manifest, spec, model.input_shape[1:])
-    loss, acc = evaluate_model(model, x, labels, args.loss, args.batch_size)
+    # a run's split manifests name images under data.root; any other, under its own directory
+    manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
+    root = args.data_root or (config.data_root if record and manifest_dir == run_dir else manifest_dir)
+    x, labels = load_split(root, manifest_read(args.manifest), config.norm, model.input_shape[1:])
+    loss, acc = evaluate_model(model, x, labels, config.loss_kind, config.batch_size)
     print(f"loss={loss:.6g} accuracy={acc:.6g} n={len(x)}")
     return 0
 
 
 def _cmd_assess(args, overrides):
-    record = os.path.join(args.run, CONFIG_FILE)  # a run made before records existed has none
-    base = load_effective_config(record, env={}) if os.path.exists(record) else None
-    effective = load_effective_config(args.config, overrides, base=base)
-    detector = to_detector_config(effective)
+    config = to_experiment_config(load_effective_config(args.config, overrides, base=read_record(args.run)))
     log = read_metrics(os.path.join(args.run, METRICS_FILE))
-    report = training_assessment(log, detector)
+    report = training_assessment(log, config.detectors)
     print(f"plateaued={report['plateaued']} plateau_index={report['plateau_index']}")
     print(f"forgetting_events={report['forgetting_events']}")
     print(f"recommendation={report['recommendation']}")

@@ -2,11 +2,11 @@
 
 Config text is flat `section.key = value` lines; `format_config` writes a
 config as one such line per key, as every run's effective_config.cfg.
-Effective config = defaults (for `assess`, then a run's record), overlaid
-by DAYLEARN_* environment variables, the file, then command-line overrides
-(highest precedence). Unknown keys are rejected. Each key sets one dataclass
-field (FIELDS), whose default is the key's default and whose default's type
-gives the key's parser.
+Effective config = defaults (for `assess` and `evaluate`, then the run's
+record: `protocol.read_record`), overlaid by DAYLEARN_* environment variables,
+the file, then command-line overrides (highest precedence). Unknown keys are
+rejected. Each key sets one dataclass field (FIELDS), whose default is the
+key's default and whose default's type gives the key's parser.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class ExperimentConfig:
         if self.loss_kind not in nn.LOSS_KINDS:
             raise ConfigError(f"loss kind must be one of {nn.LOSS_KINDS}")
         self.make_optimizer()  # the optimizer's constructor checks its values
+        if tuple(self.split_fractions) != SPLIT_FRACTIONS:  # a record could not hold another value
+            raise ConfigError(f"split_fractions has no config key, so it must be {SPLIT_FRACTIONS}")
 
     def make_optimizer(self):
         """A new optimizer of this config's kind and hyperparameters."""
@@ -222,12 +224,8 @@ def to_experiment_config(effective) -> ExperimentConfig:
         layers=parse_layers(effective["model.layers"], effective["data.image_size"]),
         augment=_build(AugmentConfig, effective),
         norm=_build(NormalizationSpec, effective),
-        detectors=to_detector_config(effective),
+        detectors=_build(DetectorConfig, effective),
     )
-
-
-def to_detector_config(effective) -> DetectorConfig:
-    return _build(DetectorConfig, effective)
 
 
 def format_config(config):

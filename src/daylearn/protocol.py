@@ -2,7 +2,8 @@
 global-test evaluation, checkpoint cadence, and resume.
 
 `run_experiment` owns the run directory, whoever calls it: it makes and
-locks it, and records the run's `ExperimentConfig` as effective_config.cfg.
+locks it, and records the run's `ExperimentConfig` as effective_config.cfg,
+which `read_record` alone reads back.
 
 All randomness is drawn from substreams keyed by (seed, purpose, day,
 epoch). Each training epoch draws one shuffle and one augmentation table
@@ -22,7 +23,7 @@ from itertools import islice
 import numpy as np
 
 from . import nn
-from .config import ExperimentConfig, format_config
+from .config import ExperimentConfig, format_config, load_effective_config
 from .data import (
     AUG_DRAWS,
     augment_batch as augment_image,  # the name the benchmark tracer wraps
@@ -184,6 +185,13 @@ _STATE_FILE = "state.txt"
 _DAYPLAN_FILE = "dayplan.txt"
 _FINAL_CKPT = "ckpt_final.bin"
 _LOCK_NAME = "lock"
+
+
+def read_record(run_dir):
+    """The key -> value map of `run_dir`'s effective_config.cfg, read with no
+    environment; None when it has none (no run, or a run older than records)."""
+    path = os.path.join(run_dir, CONFIG_FILE)
+    return load_effective_config(path, env={}) if os.path.exists(path) else None
 
 
 def _acquire_lock(out):

@@ -19,7 +19,6 @@ from daylearn.config import (
     format_config,
     load_effective_config,
     parse_layers,
-    to_detector_config,
     to_experiment_config,
 )
 from daylearn.errors import ConfigError
@@ -154,6 +153,24 @@ def test_every_config_key_is_a_dataclass_field():
     assert config.SCHEMA["model.layers"] == (str, config.DEFAULT_LAYERS)
 
 
+def test_every_hashed_field_is_set_by_a_config_key():
+    # a hashed field that no key sets is left out of a run's record, which then
+    # reads back to another config hash; model.layers sets `layers`, and
+    # `split_fractions` refuses any value but its default
+    hashed, owners = set(), [to_experiment_config(load_effective_config(env={}))]
+    for owner in owners:  # nested dataclasses join the list as they are found
+        for f in dataclasses.fields(owner):
+            if not f.metadata.get("hashed", True):
+                continue
+            value = getattr(owner, f.name)
+            if dataclasses.is_dataclass(value):
+                owners.append(value)
+            else:
+                hashed.add((type(owner), f.name))
+    assert hashed - set(config.FIELDS.values()) == {
+        (config.ExperimentConfig, "layers"), (config.ExperimentConfig, "split_fractions")}
+
+
 def test_config_keys_build_the_dataclasses():
     eff = load_effective_config(env={}, overrides=[
         "optimizer.momentum=0.5", "data.hflip=0.25", "data.norm_std=0.5",
@@ -163,7 +180,7 @@ def test_config_keys_build_the_dataclasses():
     assert cfg.augment == data.AugmentConfig(hflip_probability=0.25)
     assert cfg.norm == data.NormalizationSpec(std=0.5)
     assert cfg.layers == parse_layers(config.DEFAULT_LAYERS, 32)
-    assert to_detector_config(eff) == metrics.DetectorConfig(variance_tolerance=0.125)
+    assert cfg.detectors == metrics.DetectorConfig(variance_tolerance=0.125)
 
 
 def test_to_experiment_config_seed_key():
@@ -240,8 +257,7 @@ def test_run_evaluate_assess_plot_end_to_end(tmp_path, capsys):
     os.close(protocol._acquire_lock(out))  # the run let its lock go
 
     rc = dispatch(["evaluate", "--checkpoint", str(out / "ckpt_final.bin"),
-                   "--manifest", str(out / "test.txt"), "--data-root", str(dd),
-                   "--batch-size", "4"])
+                   "--manifest", str(out / "test.txt"), "--data-root", str(dd)])
     assert rc == 0
     assert "accuracy=" in capsys.readouterr().out
 
@@ -613,8 +629,8 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,args,prefix", [
-    ("evaluate", ["--batch-size", "0"], "USAGE_ERROR: batch size"),
-    ("evaluate", ["--batch-size", "-4"], "USAGE_ERROR: batch size"),
+    ("evaluate", ["--protocol.batch_size=0"], "CONFIG_ERROR: batch_size"),
+    ("evaluate", ["--protocol.batch_size=-4"], "CONFIG_ERROR: batch_size"),
     ("split", ["--fractions", "a,b,c"], "CONFIG_ERROR: --fractions"),
     ("split", ["--fractions", "nan,nan,nan"], "CONFIG_ERROR: split fractions"),
     ("split", ["--fractions", "1.5,-0.25,-0.25"], "CONFIG_ERROR: split fractions"),
@@ -625,7 +641,7 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     ("run", ["--data.jitter=inf"], "CONFIG_ERROR: translate_fraction and jitter_fraction"),
     ("run", ["--data.rotate_degrees=inf"], "CONFIG_ERROR: rotation_degrees must be finite"),
     ("run", ["--data.translate=1e300"], "CONFIG_ERROR: translate_fraction and jitter_fraction"),
-    ("evaluate", ["--norm-mean", "nan"], "CONFIG_ERROR: normalization mean must be finite"),
+    ("evaluate", ["--data.norm_mean=nan"], "CONFIG_ERROR: normalization mean must be finite"),
     ("assess", ["--detectors.slope_tol=nan"], "CONFIG_ERROR: tolerances"),
     ("assess", ["--detectors.var_tol=nan"], "CONFIG_ERROR: tolerances"),
     ("run", ["--protocol.pretrain_target=nan", "--protocol.pretrain_size=4"],
@@ -639,12 +655,18 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     ("gen-synth", ["--noise", "-0.5"], "CONFIG_ERROR: noise level must be finite and >= 0"),
     ("gen-synth", ["--noise", "inf"], "CONFIG_ERROR: noise level must be finite and >= 0"),
     ("plot", ["--phase", "bogus"], "USAGE_ERROR: phase must be one of ('pretrain', 'sequential')"),
+    ("run", ["--schedule.strategy=bogus"], "CONFIG_ERROR: strategy must be one of"),
+    ("run", ["--protocol.loss=bogus"], "CONFIG_ERROR: loss kind must be one of"),
+    ("evaluate", ["--loss", "bogus"], "CONFIG_ERROR: loss kind must be one of"),
+    ("run", ["--protocol.epochs_per_day=0"], "CONFIG_ERROR: epoch counts must be >= 1"),
+    ("gen-rotated", ["--source-class", "nope"], "DATA_ERROR: no entries with class 'nope'"),
 ], ids=["batch_0", "batch_negative", "fractions_not_numbers", "fractions_nan",
         "fractions_negative", "size_negative", "size_huge", "pretrain_size_negative", "jitter_inf",
         "rotate_inf", "translate_huge", "norm_mean_nan", "slope_tol_nan", "var_tol_nan",
         "pretrain_target_nan", "stop_after_day_0", "grad_check_seeds_0", "grad_check_h_0",
         "grad_check_h_nan", "grad_check_tol_nan", "noise_nan", "noise_negative", "noise_inf",
-        "plot_phase_bogus"])
+        "plot_phase_bogus", "strategy_bogus", "loss_bogus", "evaluate_loss_bogus",
+        "epochs_per_day_0", "source_class_missing"])
 def test_bad_numeric_argument_is_a_typed_error(tmp_path, capsys, command, args, prefix):
     dd = tmp_path / "data"
     data.gen_synthetic(2, 4, 8, 0.05, 0, str(dd))
@@ -663,25 +685,44 @@ def test_bad_numeric_argument_is_a_typed_error(tmp_path, capsys, command, args, 
         "assess": ["--run", str(tmp_path / "r")],
         "plot": ["--run", str(plotted), "--out", str(tmp_path / "acc.svg")],
         "grad-check": [],
+        "gen-rotated": ["--manifest", str(dd / "manifest.txt"), "--out", str(tmp_path / "rot")],
     }
-    assert dispatch([command, *paths[command], *args]) == 2
+    codes = {e.label: e.exit_code for e in (errors.ConfigError, errors.UsageError, errors.DataError)}
+    assert dispatch([command, *paths[command], *args]) == codes[prefix.split(":")[0]]
     assert capsys.readouterr().err.startswith(prefix)
     assert not (tmp_path / "r").exists()  # a rejected run writes nothing
 
 
-@pytest.mark.parametrize("name,argv,prefix,code", [
-    ("metrics.csv", ["assess", "--run", "{dir}"], "DATA_ERROR", 3),
-    ("metrics.csv", ["plot", "--run", "{dir}", "--out", "{dir}/acc.svg"], "DATA_ERROR", 3),
-    ("c.cfg", ["run", "--config", "{path}", "--out", "{dir}/r"], "CONFIG_ERROR", 2),
-    ("c.cfg", ["assess", "--config", "{path}", "--run", "{dir}"], "CONFIG_ERROR", 2),
-    ("manifest.txt", ["gen-rotated", "--manifest", "{path}", "--out", "{dir}/rot"], "DATA_ERROR", 3),
-], ids=["assess_metrics", "plot_metrics", "run_config", "assess_config", "gen_rotated_manifest"])
-def test_undecodable_text_file_is_a_typed_error(tmp_path, capsys, name, argv, prefix, code):
+UTF16 = "schedule.days = 3\n".encode("utf-16")  # starts \xff\xfe
+HEADER = ",".join(metrics.CSV_COLUMNS)
+BAD_CELL = f"{HEADER}\nr,sequential,1,1,0.5,x,,,,\n".encode()
+BAD_PHASE = f"{HEADER}\nr,warmup,1,1,0.5,0.5,,,,\n".encode()
+ASSESS = ["assess", "--run", "{dir}"]
+PLOT = ["plot", "--run", "{dir}", "--out", "{dir}/acc.svg"]
+
+
+@pytest.mark.parametrize("name,text,argv,err,code", [
+    ("metrics.csv", UTF16, ASSESS, "DATA_ERROR: {path}: not UTF-8 text", 3),
+    ("metrics.csv", UTF16, PLOT, "DATA_ERROR: {path}: not UTF-8 text", 3),
+    ("c.cfg", UTF16, ["run", "--config", "{path}", "--out", "{dir}/r"],
+     "CONFIG_ERROR: {path}: not UTF-8 text", 2),
+    ("c.cfg", UTF16, ["assess", "--config", "{path}", "--run", "{dir}"],
+     "CONFIG_ERROR: {path}: not UTF-8 text", 2),
+    ("manifest.txt", UTF16, ["gen-rotated", "--manifest", "{path}", "--out", "{dir}/rot"],
+     "DATA_ERROR: {path}: not UTF-8 text", 3),
+    # text that decodes, with a bad row
+    ("metrics.csv", BAD_CELL, ASSESS, "DATA_ERROR: {path}:2: could not convert string to float: 'x'", 3),
+    ("metrics.csv", BAD_CELL, PLOT, "DATA_ERROR: {path}:2: could not convert string to float: 'x'", 3),
+    ("metrics.csv", BAD_PHASE, ASSESS, "DATA_ERROR: {path}:2: phase must be one of", 3),
+    ("metrics.csv", BAD_PHASE, PLOT, "DATA_ERROR: {path}:2: phase must be one of", 3),
+], ids=["assess_metrics", "plot_metrics", "run_config", "assess_config", "gen_rotated_manifest",
+        "assess_metrics_cell", "plot_metrics_cell", "assess_metrics_phase", "plot_metrics_phase"])
+def test_undecodable_text_file_is_a_typed_error(tmp_path, capsys, name, text, argv, err, code):
     path = tmp_path / name
-    path.write_bytes("schedule.days = 3\n".encode("utf-16"))  # starts \xff\xfe
+    path.write_bytes(text)
     argv = [a.format(dir=tmp_path, path=path) for a in argv]
     assert dispatch(argv) == code
-    assert capsys.readouterr().err.startswith(f"{prefix}: {path}: not UTF-8 text")
+    assert capsys.readouterr().err.startswith(err.format(path=path))
 
 
 def test_python_m_daylearn_runs_the_cli_without_warnings():
@@ -873,6 +914,11 @@ def test_grad_check_subcommand_small(capsys):
     assert dispatch(["grad-check", "--seeds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if "OK" in line] == ["grad-check: OK"]
+    # no finite difference meets a tolerance of 1e-30: every failing tensor gets a line
+    assert dispatch(["grad-check", "--seeds", "1", "--tol", "1e-30"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL loss=softmax_ce seed=0 layer0.w rel_err=")
+    assert lines[-1] == "grad-check: FAILED" and "grad-check: OK" not in lines
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +933,7 @@ def test_every_subcommand_has_a_handler():
                                    "grad-check", "plot", "run", "split"]
     for name, sp in sub.choices.items():
         assert callable(sp.get_default("handler")), name
-        assert sp.get_default("overrides") is (name in ("run", "assess")), name
+        assert sp.get_default("overrides") is (name in ("run", "evaluate", "assess")), name
 
 
 @pytest.mark.parametrize("error,label,code", [
@@ -956,6 +1002,39 @@ def test_assess_applies_the_detectors_the_run_recorded(tmp_path, capsys, monkeyp
     monkeypatch.delenv("DAYLEARN_DETECTORS__WINDOW")
     (out / "effective_config.cfg").unlink()  # a run with no record: the defaults
     assert assess()[1].endswith("need >= window 20\n")
+
+
+def test_evaluate_applies_the_config_the_run_recorded(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "r"
+    assert dispatch(_small_run_argv(tmp_path, out, days=3) + [
+        "--protocol.loss=bce_logits", "--protocol.batch_size=5",
+        "--data.norm_mean=0.1", "--data.norm_std=0.9"]) == 0
+    last = metrics.read_metrics(out / "metrics.csv").records[-1]
+
+    def evaluate(*extra):
+        capsys.readouterr()
+        assert dispatch(["evaluate", "--checkpoint", str(out / "ckpt_final.bin"),
+                         "--manifest", str(out / "test.txt"), *extra]) == 0
+        return capsys.readouterr().out.rsplit(" n=", 1)[0]
+
+    # the record alone gives the loss, batch size, normalization and image root
+    recorded = f"loss={last.test_loss:.6g} accuracy={last.test_acc:.6g}"
+    assert evaluate() == recorded
+    model, _ = nn.checkpoint_load(out / "ckpt_final.bin")
+    split = protocol.load_split(str(tmp_path / "data"), data.manifest_read(out / "test.txt"),
+                                data.NormalizationSpec(0.1, 0.9), (8, 8))
+    loss, acc = protocol.evaluate(model, *split, "softmax_ce", 5)
+    softmax = f"loss={loss:.6g} accuracy={acc:.6g}"
+    assert softmax != recorded
+    # precedence: defaults < record < environment < overrides (--loss among them)
+    assert evaluate("--protocol.loss=softmax_ce") == softmax
+    monkeypatch.setenv("DAYLEARN_PROTOCOL__LOSS", "softmax_ce")
+    assert evaluate() == softmax
+    assert evaluate("--loss", "bce_logits") == recorded
+    # --data-root wins over data.root
+    monkeypatch.delenv("DAYLEARN_PROTOCOL__LOSS")
+    shutil.move(tmp_path / "data", tmp_path / "moved")
+    assert evaluate("--data-root", str(tmp_path / "moved")) == recorded
 
 
 def test_class_count_mismatch_is_refused_before_manifests_and_day_plan(tmp_path, capsys):

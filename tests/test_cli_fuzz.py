@@ -79,6 +79,9 @@ def test_corrupt_file_gives_a_typed_exit_code(pristine, target, edits, cut):
                 ["plot", "--run", run, "--out", os.path.join(work, "acc.svg")],
                 ["evaluate", "--checkpoint", os.path.join(run, "ckpt_final.bin"),
                  "--manifest", os.path.join(run, "test.txt"), "--data-root", str(root)],
+                # the record gives the image root, loss, batch size and normalization
+                ["evaluate", "--checkpoint", os.path.join(run, "ckpt_final.bin"),
+                 "--manifest", os.path.join(run, "test.txt")],
                 ["run", "--config", config, "--out", run, "--resume"],
             ):
                 err = io.StringIO()
