@@ -1,6 +1,7 @@
 """Command-line entry point. Each subcommand parses, calls the library and
-prints; `run` leaves its run directory, lock included, to run_experiment, and
-`assess` and `evaluate` resolve their config over its record (`read_record`).
+prints. The run directory is protocol's alone: `run` leaves it, lock
+included, to run_experiment, and `run --resume`, `assess` and `evaluate`
+take their config from its record through `run_config`.
 Subcommands: gen-synth, gen-rotated, split, run, evaluate, assess, plot,
 grad-check; each subparser names its handler (args, overrides). Exit codes:
 0 success, else the raised DaylearnError's `exit_code` (errors.py: 1 runtime/
@@ -16,7 +17,6 @@ import sys
 import numpy as np
 
 from . import nn
-from .config import load_effective_config, to_experiment_config
 from .data import (
     SPLIT_FRACTIONS,
     build_rotated_dataset,
@@ -27,8 +27,8 @@ from .data import (
     splits_write,
 )
 from .errors import ConfigError, DataError, DaylearnError, UsageError
-from .metrics import emit_plot, read_metrics, training_assessment
-from .protocol import METRICS_FILE, load_split, read_record, run_experiment
+from .metrics import emit_plot, training_assessment
+from .protocol import load_split, read_log, run_config, run_experiment
 from .protocol import evaluate as evaluate_model
 from .rng import substream
 
@@ -70,7 +70,7 @@ def _build_parser():
     sp.add_argument("--stop-after-day", type=int, default=None)
 
     sp = command("evaluate", _cmd_evaluate, "evaluate a checkpoint on a manifest", overrides=True)
-    sp.add_argument("--checkpoint", required=True, help="its directory's effective_config.cfg gives the config")
+    sp.add_argument("--checkpoint", required=True, help="its run directory's record gives the config")
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--loss", default=None, help="shorthand for --protocol.loss")
     sp.add_argument("--data-root", default=None,
@@ -132,7 +132,7 @@ def _cmd_split(args, overrides):
 def _cmd_run(args, overrides):
     if args.seed is not None:
         overrides = list(overrides) + [f"protocol.seed={args.seed}"]
-    config = to_experiment_config(load_effective_config(args.config, overrides))
+    config = run_config(args.out if args.resume else None, args.config, overrides)
     log = run_experiment(config, args.out, resume=args.resume, stop_after_day=args.stop_after_day)
     print(f"run {log.run_id}: {len(log.records)} metric records in {args.out}")
     return 0
@@ -140,14 +140,13 @@ def _cmd_run(args, overrides):
 
 def _cmd_evaluate(args, overrides):
     run_dir = os.path.dirname(os.path.abspath(args.checkpoint))
-    record = read_record(run_dir)
     if args.loss is not None:
         overrides = list(overrides) + [f"protocol.loss={args.loss}"]
-    config = to_experiment_config(load_effective_config(None, overrides, base=record))
+    config = run_config(run_dir, overrides=overrides)
     model, _ = nn.checkpoint_load(args.checkpoint)
-    # a run's split manifests name images under data.root; any other, under its own directory
+    # a run's own manifests name images under data.root, when set; others, under their directory
     manifest_dir = os.path.dirname(os.path.abspath(args.manifest))
-    root = args.data_root or (config.data_root if record and manifest_dir == run_dir else manifest_dir)
+    root = args.data_root or (manifest_dir == run_dir and config.data_root) or manifest_dir
     x, labels = load_split(root, manifest_read(args.manifest), config.norm, model.input_shape[1:])
     loss, acc = evaluate_model(model, x, labels, config.loss_kind, config.batch_size)
     print(f"loss={loss:.6g} accuracy={acc:.6g} n={len(x)}")
@@ -155,9 +154,8 @@ def _cmd_evaluate(args, overrides):
 
 
 def _cmd_assess(args, overrides):
-    config = to_experiment_config(load_effective_config(args.config, overrides, base=read_record(args.run)))
-    log = read_metrics(os.path.join(args.run, METRICS_FILE))
-    report = training_assessment(log, config.detectors)
+    config = run_config(args.run, args.config, overrides)
+    report = training_assessment(read_log(args.run), config.detectors)
     print(f"plateaued={report['plateaued']} plateau_index={report['plateau_index']}")
     print(f"forgetting_events={report['forgetting_events']}")
     print(f"recommendation={report['recommendation']}")
@@ -165,9 +163,8 @@ def _cmd_assess(args, overrides):
 
 
 def _cmd_plot(args, overrides):
-    log = read_metrics(os.path.join(args.run, METRICS_FILE))
     names = [s.strip() for s in args.series.split(",") if s.strip()]
-    emit_plot(log, names, args.out, phase=args.phase)
+    emit_plot(read_log(args.run), names, args.out, phase=args.phase)
     print(f"wrote {args.out}")
     return 0
 

@@ -2,8 +2,8 @@
 
 Config text is flat `section.key = value` lines; `format_config` writes a
 config as one such line per key, as every run's effective_config.cfg.
-Effective config = defaults (for `assess` and `evaluate`, then the run's
-record: `protocol.read_record`), overlaid by DAYLEARN_* environment variables,
+Effective config = defaults (for a command on an existing run, then the run's
+record: `protocol.run_config`), overlaid by DAYLEARN_* environment variables,
 the file, then command-line overrides (highest precedence). Unknown keys are
 rejected. Each key sets one dataclass field (FIELDS), whose default is the
 key's default and whose default's type gives the key's parser.
@@ -51,7 +51,6 @@ class ExperimentConfig:
     epochs_per_day: int = 1
     strategy: str = GLOBAL_HOLDOUT
     allow_short_final: bool = False
-    split_fractions: tuple = SPLIT_FRACTIONS
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     norm: NormalizationSpec = field(default_factory=NormalizationSpec)
     detectors: DetectorConfig = field(default_factory=DetectorConfig, metadata={"hashed": False})
@@ -73,8 +72,6 @@ class ExperimentConfig:
         if self.loss_kind not in nn.LOSS_KINDS:
             raise ConfigError(f"loss kind must be one of {nn.LOSS_KINDS}")
         self.make_optimizer()  # the optimizer's constructor checks its values
-        if tuple(self.split_fractions) != SPLIT_FRACTIONS:  # a record could not hold another value
-            raise ConfigError(f"split_fractions has no config key, so it must be {SPLIT_FRACTIONS}")
 
     def make_optimizer(self):
         """A new optimizer of this config's kind and hyperparameters."""
@@ -86,7 +83,7 @@ class ExperimentConfig:
         flattened to dotted keys, numbers compared by value (1 and 1.0
         agree), and fields marked `hashed: False` left out: `data_root`, so a
         moved dataset still resumes, and `detectors`, which only assess reads."""
-        flat = {}
+        flat = {"split_fractions": list(SPLIT_FRACTIONS)}  # a removed field, which every old hash holds
         _flatten(self, "", flat)
         text = json.dumps(flat, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()

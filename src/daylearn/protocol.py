@@ -2,8 +2,9 @@
 global-test evaluation, checkpoint cadence, and resume.
 
 `run_experiment` owns the run directory, whoever calls it: it makes and
-locks it, and records the run's `ExperimentConfig` as effective_config.cfg,
-which `read_record` alone reads back.
+locks it, and records the run's `ExperimentConfig` as effective_config.cfg.
+This module alone knows the directory's files: `run_config` reads a run's
+config back, `read_log` its metrics and `read_state` its resume point.
 
 All randomness is drawn from substreams keyed by (seed, purpose, day,
 epoch). Each training epoch draws one shuffle and one augmentation table
@@ -14,6 +15,7 @@ reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import os
 import time
@@ -23,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from . import nn
-from .config import ExperimentConfig, format_config, load_effective_config
+from .config import ExperimentConfig, format_config, load_effective_config, to_experiment_config
 from .data import (
     AUG_DRAWS,
     augment_batch as augment_image,  # the name the benchmark tracer wraps
@@ -179,19 +181,26 @@ def pretrain(model, optimizer, config, cache, subset_items, val_items):
 # Full experiment with checkpoint/resume
 # ---------------------------------------------------------------------------
 
-METRICS_FILE = "metrics.csv"
-CONFIG_FILE = "effective_config.cfg"
+_METRICS_FILE = "metrics.csv"
+_CONFIG_FILE = "effective_config.cfg"
 _STATE_FILE = "state.txt"
 _DAYPLAN_FILE = "dayplan.txt"
 _FINAL_CKPT = "ckpt_final.bin"
 _LOCK_NAME = "lock"
 
 
-def read_record(run_dir):
-    """The key -> value map of `run_dir`'s effective_config.cfg, read with no
-    environment; None when it has none (no run, or a run older than records)."""
-    path = os.path.join(run_dir, CONFIG_FILE)
-    return load_effective_config(path, env={}) if os.path.exists(path) else None
+def run_config(run_dir=None, path=None, overrides=()) -> ExperimentConfig:
+    """The config of a command on the run in `run_dir`: defaults < its
+    effective_config.cfg, if it has one < DAYLEARN_* environment < the `path`
+    file < `overrides`. A fresh run passes no `run_dir`, so it reads no record."""
+    record = None if run_dir is None else os.path.join(run_dir, _CONFIG_FILE)
+    base = load_effective_config(record, env={}) if record and os.path.exists(record) else None
+    return to_experiment_config(load_effective_config(path, overrides, base=base))
+
+
+def read_log(run_dir):
+    """`run_dir`'s metrics.csv as a RunLog, less a last row torn by a kill mid-append."""
+    return read_metrics(os.path.join(run_dir, _METRICS_FILE))
 
 
 def _acquire_lock(out):
@@ -222,10 +231,10 @@ def _write_state(out_dir, config_hash, last_day, ckpt_name):
 
 
 def read_state(out_dir, config):
-    """(last_day, checkpoint name) from `out_dir`/state.txt, or None when
-    there is no state.txt: such a directory holds no checkpoint, so its
-    run starts from day 1. Refuses a state saved under another config, and
-    a last_day outside that config's days."""
+    """(last_day, model, optimizer, records) as `out_dir`/state.txt names them:
+    the day, its checkpoint and the metrics rows up to it, pre-training's day 0
+    included. None without a state.txt, whose run has no checkpoint and starts
+    from day 1. Refuses a state of another config, or a last_day outside its days."""
     path = os.path.join(out_dir, _STATE_FILE)
     try:
         kv = dict(line.partition("=")[::2] for line in read_text(path, CheckpointError).splitlines())
@@ -246,7 +255,8 @@ def read_state(out_dir, config):
         raise CheckpointError(
             f"corrupt run state {path}: last_day {last_day} outside days 1-{config.total_days}"
         )
-    return last_day, ckpt_name
+    model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
+    return last_day, model, optimizer, [r for r in read_log(out_dir).records if r.day <= last_day]
 
 
 def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_day=None):
@@ -257,8 +267,9 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
     all it needs before its first write: state.txt, the checkpoint and
     metrics.csv on resume, the data.root split and the evaluation splits. So a
     refused run creates no out_dir and leaves an existing one as it was, bar
-    an empty lock. A fresh run then removes state.txt, and the run writes
-    effective_config.cfg (`format_config` of `config`), the manifests,
+    an empty lock. A fresh run then removes effective_config.cfg and then
+    state.txt, and the run writes effective_config.cfg (`format_config` of
+    `config`, with data_root made absolute), the manifests,
     dayplan.txt, metrics.csv, checkpoints, state.txt and run_meta.txt.
     Returns the RunLog. A resume goes on from the day after the one state.txt
     names, on the split its manifests record; with no state.txt it starts
@@ -276,6 +287,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         cfg_hash = config.config_hash()
         run_id = cfg_hash[:8]
         state = read_state(out_dir, config) if resume else None
+        last_day, model, optimizer, records = state or (0, None, None, [])
 
         manifest = ingest_directory(config.data_root)
         if len(manifest.class_names) < 2:
@@ -287,9 +299,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
             raise ConfigError(
                 f"model emits {logits} logits but the dataset has {len(manifest.class_names)} classes"
             )
-        train_m, val_m, test_m = splits = split_manifest(
-            manifest, fractions=config.split_fractions, seed=config.seed
-        )
+        train_m, val_m, test_m = splits = split_manifest(manifest, seed=config.seed)
         if state is not None:  # the days done trained on the split the directory records
             splits_check(splits, out_dir)
         shape = (config.image_size, config.image_size)
@@ -314,15 +324,7 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
         val_split = load_split(config.data_root, val_m, config.norm, shape) if reads_val else None
         test_split = load_split(config.data_root, test_m, config.norm, shape)
 
-        metrics_path = os.path.join(out_dir, METRICS_FILE)
-        last_day, records = 0, []
-        if state is not None:
-            last_day, ckpt_name = state
-            model, optimizer = nn.checkpoint_load(os.path.join(out_dir, ckpt_name))
-            # read_metrics drops a row torn by a kill mid-append; pre-training
-            # rows are day 0, so they stay
-            records = [r for r in read_metrics(metrics_path).records if r.day <= last_day]
-
+        metrics_path = os.path.join(out_dir, _METRICS_FILE)
         if new_dir:  # made at the start of the write phase, so a refused run leaves none
             try:
                 os.makedirs(out_dir)
@@ -330,14 +332,17 @@ def run_experiment(config: ExperimentConfig, out_dir, resume=False, stop_after_d
                 raise UsageError(f"run directory {out_dir} was made by another invocation") from None
             held.callback(os.close, _acquire_lock(out_dir))
         if not resume:
-            # a fresh run over an old one: a kill before its first checkpoint
-            # must not leave the old state.txt for a resume to trust
-            try:
-                os.remove(os.path.join(out_dir, _STATE_FILE))
-            except FileNotFoundError:
-                pass
-        with replacing_open(os.path.join(out_dir, CONFIG_FILE)) as f:
-            f.write(format_config(config))
+            # a fresh run over an old one: a kill before its first checkpoint must
+            # leave neither the old state.txt for a resume to trust nor the old
+            # record for it to read. The record goes first, so a kill between the
+            # two leaves the old state alone, which a resume of another config refuses
+            for name in (_CONFIG_FILE, _STATE_FILE):
+                try:
+                    os.remove(os.path.join(out_dir, name))
+                except FileNotFoundError:
+                    pass
+        with replacing_open(os.path.join(out_dir, _CONFIG_FILE)) as f:
+            f.write(format_config(dataclasses.replace(config, data_root=os.path.abspath(config.data_root))))
         splits_write(splits, out_dir)
         dayplan_write(days, config.n_per_day, os.path.join(out_dir, _DAYPLAN_FILE))
 

@@ -118,6 +118,20 @@ def test_config_imports_neither_protocol_nor_cli():
     assert not {name.rpartition(".")[2] for name in imported} & {"protocol", "cli"}
 
 
+def test_cli_leaves_the_run_directory_to_protocol():
+    # protocol alone names a run directory's files and reads them back, the
+    # run's config included; cli goes through run_config and read_log
+    run_files = {name: value for name, value in vars(protocol).items()
+                 if name.startswith("_") and name.endswith(("_FILE", "_CKPT"))}
+    assert {"metrics.csv", "effective_config.cfg", "state.txt"} <= set(run_files.values())
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & (set(run_files) | {"load_effective_config", "to_experiment_config", "read_metrics"})
+    literals = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert [s for s in literals for name in [*run_files.values(), "run_meta.txt"] if name in s] == []
+
+
 def test_parse_layers_bad_token():
     with pytest.raises(ConfigError, match="token"):
         parse_layers("conv:16:3,relu,swish", 32)
@@ -155,8 +169,7 @@ def test_every_config_key_is_a_dataclass_field():
 
 def test_every_hashed_field_is_set_by_a_config_key():
     # a hashed field that no key sets is left out of a run's record, which then
-    # reads back to another config hash; model.layers sets `layers`, and
-    # `split_fractions` refuses any value but its default
+    # reads back to another config hash; model.layers sets `layers`
     hashed, owners = set(), [to_experiment_config(load_effective_config(env={}))]
     for owner in owners:  # nested dataclasses join the list as they are found
         for f in dataclasses.fields(owner):
@@ -167,8 +180,7 @@ def test_every_hashed_field_is_set_by_a_config_key():
                 owners.append(value)
             else:
                 hashed.add((type(owner), f.name))
-    assert hashed - set(config.FIELDS.values()) == {
-        (config.ExperimentConfig, "layers"), (config.ExperimentConfig, "split_fractions")}
+    assert hashed - set(config.FIELDS.values()) == {(config.ExperimentConfig, "layers")}
 
 
 def test_config_keys_build_the_dataclasses():
@@ -518,8 +530,10 @@ def _assert_same_run(a, b, where=None):
 def test_crash_before_or_after_any_write_resumes_byte_identical(tmp_path, monkeypatch):
     # a 4-day run that pre-trains and saves every day; each of its writes
     # is a crash point, and so is the first write of the resume after it.
-    # The crashed run starts either in a new directory or over a finished
-    # run of the same config, whose state.txt must not outlive the restart
+    # The crashed run starts in a new directory, over a finished run of the
+    # same config, whose state.txt must not outlive the restart, or over a
+    # finished run of another config, whose record must not outlive it either:
+    # a resume reads the record, and the old one would change the config
     def argv(out):
         return _small_run_argv(tmp_path, out, days=4) + [
             "--protocol.pretrain_size=8", "--protocol.pretrain_epochs=2"]
@@ -533,12 +547,14 @@ def test_crash_before_or_after_any_write_resumes_byte_identical(tmp_path, monkey
     # every other write goes to a temp file that an os.replace then moves
     # over the old one, so a kill in the middle of it leaves that file whole
     assert others and all(path.endswith(".tmp") for path in others)
-    for over_finished in (False, True):
+    other = tmp_path / "other"
+    assert dispatch(argv(other) + ["--protocol.pretrain_size=12", "--optimizer.lr=0.01"]) == 0
+    for start in (None, full, other):
         for n in range(len(points)):
             for after in (False, True):
                 out = tmp_path / "crashed"
-                if over_finished:
-                    shutil.copytree(full, out)
+                if start is not None:
+                    shutil.copytree(start, out)
                 _run_writes(monkeypatch, lambda i, target, a: (i, a) == (n, after))
                 with pytest.raises(_Crash):
                     dispatch(argv(out))
@@ -546,7 +562,7 @@ def test_crash_before_or_after_any_write_resumes_byte_identical(tmp_path, monkey
                 with pytest.raises(_Crash):
                     dispatch(argv(out) + ["--resume"])
                 monkeypatch.undo()
-                where = (over_finished, points[n], after)
+                where = (start, points[n], after)
                 assert dispatch(argv(out) + ["--resume"]) == 0, where
                 _assert_same_run(full, out, where)
                 shutil.rmtree(out)
@@ -626,6 +642,84 @@ def test_resume_with_foreign_config_hash_exits_2(tmp_path, capsys):
     assert "may also predate the canonical config hash" in err
     # a refused resume writes nothing, not even its own effective config
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _files(run_dir):
+    return {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+
+def test_resume_layers_environment_config_and_overrides_over_the_record(tmp_path, capsys, monkeypatch):
+    # precedence: defaults < record < environment < --config < overrides
+    full, stopped = tmp_path / "full", tmp_path / "stopped"
+    assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
+    assert dispatch(_small_run_argv(tmp_path, stopped, days=4) + ["--stop-after-day", "2"]) == 0
+    kept = _files(stopped)
+
+    def ways(key, value):
+        """way -> (argv, environment) that sets `key` to `value` that way."""
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key} = {value}\n")
+        env = config.ENV_PREFIX + key.upper().replace(".", "__")
+        return {"override": ([f"--{key}={value}"], {}), "environment": ([], {env: value}),
+                "config": (["--config", str(path)], {})}
+
+    def resume(out, argv, env):
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            for name, value in env.items():
+                m.setenv(name, value)
+            code = dispatch(["run", "--out", str(out), "--resume", *argv])
+        return code, capsys.readouterr().err
+
+    # a hashed value other than the record's is refused however it is given, and nothing is written
+    for way, (argv, env) in ways("schedule.days", "5").items():
+        code, err = resume(stopped, argv, env)
+        assert code == 2 and err.startswith("CONFIG_ERROR: resume refused: config hash does not match"), way
+        assert _files(stopped) == kept, way
+    # the recorded data root is gone; each way of naming its new place beats the record
+    (tmp_path / "data").rename(tmp_path / "moved")
+    assert resume(stopped, [], {})[0] == 1
+    assert _files(stopped) == kept
+    for way, (argv, env) in ways("data.root", str(tmp_path / "moved")).items():
+        shutil.copytree(stopped, tmp_path / way)
+        assert resume(tmp_path / way, argv, env) == (0, ""), way
+        _assert_same_run(full, tmp_path / way, way)
+
+
+def test_fresh_run_over_an_old_directory_does_not_read_its_record(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    argv = _small_run_argv(tmp_path, old)
+    assert dispatch(argv + ["--optimizer.lr=0.01"]) == 0
+    kept = _files(old)
+    # the record names a data root, but only a resume reads the record
+    capsys.readouterr()
+    assert dispatch(["run", "--out", str(old)]) == 2
+    assert capsys.readouterr().err == "CONFIG_ERROR: a data root is required (config key 'data.root')\n"
+    assert _files(old) == kept
+    # a fresh run with its own flags runs them alone, not the old run's lr
+    assert dispatch(argv) == 0
+    assert dispatch(_small_run_argv(tmp_path, new)) == 0
+    _assert_same_run(new, old)
+    assert (old / "effective_config.cfg").read_bytes() == (new / "effective_config.cfg").read_bytes()
+
+
+def test_bare_resume_and_evaluate_take_the_record_from_any_directory(tmp_path, monkeypatch, capsys):
+    # the record gives every flag; its data.root is absolute, as a later
+    # command on the run may start in another directory
+    full = tmp_path / "full"
+    argv = _small_run_argv(tmp_path, full, days=4)
+    assert dispatch(argv) == 0
+    monkeypatch.chdir(tmp_path)
+    relative = ["--data.root=data" if a.startswith("--data.root=") else a for a in argv[3:]]
+    assert dispatch(["run", "--out", "runs/r", *relative, "--stop-after-day", "2"]) == 0
+    assert f"data.root = {tmp_path / 'data'}\n" in (tmp_path / "runs/r/effective_config.cfg").read_text()
+    monkeypatch.chdir(tmp_path / "runs")
+    assert dispatch(["run", "--out", "r", "--resume"]) == 0
+    _assert_same_run(full, tmp_path / "runs/r")
+    capsys.readouterr()
+    assert dispatch(["evaluate", "--checkpoint", "r/ckpt_final.bin", "--manifest", "r/test.txt"]) == 0
+    last = metrics.read_metrics(full / "metrics.csv").records[-1]
+    assert capsys.readouterr().out.startswith(f"loss={last.test_loss:.6g} accuracy={last.test_acc:.6g} ")
 
 
 @pytest.mark.parametrize("command,args,prefix", [
@@ -1035,6 +1129,10 @@ def test_evaluate_applies_the_config_the_run_recorded(tmp_path, capsys, monkeypa
     monkeypatch.delenv("DAYLEARN_PROTOCOL__LOSS")
     shutil.move(tmp_path / "data", tmp_path / "moved")
     assert evaluate("--data-root", str(tmp_path / "moved")) == recorded
+    # with no record, a data.root the command line gives is the image root of the run's manifests
+    (out / "effective_config.cfg").unlink()
+    assert evaluate(f"--data.root={tmp_path / 'moved'}", "--loss", "bce_logits", "--protocol.batch_size=5",
+                    "--data.norm_mean=0.1", "--data.norm_std=0.9") == recorded
 
 
 def test_class_count_mismatch_is_refused_before_manifests_and_day_plan(tmp_path, capsys):

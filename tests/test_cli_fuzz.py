@@ -82,6 +82,7 @@ def test_corrupt_file_gives_a_typed_exit_code(pristine, target, edits, cut):
                 # the record gives the image root, loss, batch size and normalization
                 ["evaluate", "--checkpoint", os.path.join(run, "ckpt_final.bin"),
                  "--manifest", os.path.join(run, "test.txt")],
+                ["run", "--out", run, "--resume"],  # the record is its only config
                 ["run", "--config", config, "--out", run, "--resume"],
             ):
                 err = io.StringIO()

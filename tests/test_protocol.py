@@ -287,14 +287,6 @@ def test_refused_run_writes_nothing(dataset, finished_run, tmp_path, fields, mat
     assert _files(old) == kept
 
 
-def test_split_fractions_other_than_the_default_are_refused_before_any_write(dataset, tmp_path):
-    # no config key sets split_fractions: the run's record would read back to
-    # the default fractions, whose hash a resume from that record would refuse
-    with pytest.raises(ConfigError, match="split_fractions has no config key"):
-        run_experiment(small_config(dataset, split_fractions=(0.6, 0.2, 0.2)), tmp_path / "new")
-    assert not (tmp_path / "new").exists()
-
-
 def _record_reads_and_writes(monkeypatch, run_dir):
     """Log, in call order, each read of a run's inputs, each write under
     `run_dir` and each training call, as (kind, name) pairs."""
@@ -388,8 +380,8 @@ def test_config_hash_leaves_out_data_root(dataset):
 
 
 def test_config_hash_compares_numbers_by_value(dataset):
-    a = small_config(dataset, learning_rate=1.0, split_fractions=(0.7, 0.1, 0.2))
-    b = small_config(dataset, learning_rate=1, split_fractions=[0.7, 0.1, 0.2])
+    a = small_config(dataset, learning_rate=1.0)
+    b = small_config(dataset, learning_rate=1)
     assert a.config_hash() == b.config_hash()
 
 
