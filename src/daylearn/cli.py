@@ -19,6 +19,7 @@ import numpy as np
 from . import nn
 from .data import (
     SPLIT_FRACTIONS,
+    Manifest,
     build_rotated_dataset,
     gen_synthetic,
     ingest_directory,
@@ -123,8 +124,11 @@ def _cmd_split(args, overrides):
         raise ConfigError("--fractions needs exactly three comma-separated numbers")
     manifest = ingest_directory(args.data)
     train, val, test = splits = split_manifest(manifest, fractions=fracs, seed=args.seed)
+    # a manifest outside a run directory names its images relative to itself
+    rel_root = os.path.relpath(args.data, args.out)
     os.makedirs(args.out, exist_ok=True)
-    splits_write(splits, args.out)
+    splits_write([Manifest([(os.path.normpath(os.path.join(rel_root, p)), c) for p, c in m.entries],
+                           m.class_names) for m in splits], args.out)
     print(f"split {len(manifest)} entries into {len(train)}/{len(val)}/{len(test)}")
     return 0
 

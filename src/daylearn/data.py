@@ -289,7 +289,8 @@ def build_rotated_dataset(source_manifest: Manifest, source_root, out_root, seed
             img = rotate90(img, "left")
         elif cls == "rot_right":
             img = rotate90(img, "right")
-        fname = rel.replace("/", "__")
+        # no '..' segment, which would start a hidden file name
+        fname = "__".join(s for s in rel.split("/") if s != "..")
         out_rel = f"{cls}/{fname}"
         try:
             pgm_write(img, os.path.join(out_root, out_rel))

@@ -7,12 +7,13 @@ gradient verification, and an exact binary checkpoint format.
 Runs use float32; the gradient checker exercises the same code paths
 in float64.
 
-Each layer kind is one row of `LAYER_KINDS`: layer token, spec
-dataclass, layer class, checkpoint id. The spec holds the kind's
-check and shape rule (`out_shape`) and its parameter count, and its
-fields, in order, are both the token's ints and the checkpoint's;
-`parse_layers`, `Model` and the checkpoint reader and writer all read
-the table, so a new kind is its spec, its layer class and one row.
+A layer kind is its spec, its layer class and one row of `LAYER_KINDS`
+(layer token, spec dataclass, layer class, checkpoint id). The spec's
+fields, in order, are both the token's ints and the checkpoint's; its
+`out_shape` is the kind's check and shape rule, and its `param_shapes`
+the one statement of its weight and bias shapes, from which each layer
+is built and the checkpoint reader sizes its budget. `parse_layers`,
+`Model` and the checkpoint reader and writer all read the table.
 
 Every forward takes a `train` flag. Training mode (the default) keeps
 what backward needs: the padded conv input, the ReLU mask, the pool's
@@ -105,10 +106,10 @@ from .rng import substream
 
 class _Spec:
     """A layer kind's facts that need no layer built: `out_shape` checks
-    the spec and its input shape, `param_count` sizes its parameters.
-    The dataclass fields, in order, are the kind's checkpoint ints; a
-    kind with `infer_input` takes its first field from the incoming
-    shape's leading dimension when parsed from a layer token."""
+    the spec and its input shape, `param_shapes` gives its parameters'
+    shapes. The dataclass fields, in order, are the kind's checkpoint
+    ints; a kind with `infer_input` takes its first field from the
+    incoming shape's leading dimension when parsed from a layer token."""
 
     infer_input = False
 
@@ -116,9 +117,14 @@ class _Spec:
         """Output shape of layer i; raises ConfigError on inconsistency."""
         return shape
 
+    def param_shapes(self):
+        """(weight shape, bias shape), the weight's fan-in its trailing
+        dims; () for a kind without parameters."""
+        return ()
+
     def param_count(self):
         """Parameter values the layer holds: weights plus bias."""
-        return 0
+        return sum(math.prod(shape) for shape in self.param_shapes())
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,9 @@ class Conv2dSpec(_Spec):
             raise ConfigError(f"layer {i} (Conv2d): empty output from input shape {shape}")
         return (self.out_channels, ho, wo)
 
-    def param_count(self):
-        return self.out_channels * (self.in_channels * self.kernel**2 + 1)
+    def param_shapes(self):
+        k = self.kernel
+        return (self.out_channels, self.in_channels, k, k), (self.out_channels,)
 
 
 @dataclass(frozen=True)
@@ -169,8 +176,8 @@ class DenseSpec(_Spec):
             )
         return (self.out_features,)
 
-    def param_count(self):
-        return self.out_features * (self.in_features + 1)
+    def param_shapes(self):
+        return (self.out_features, self.in_features), (self.out_features,)
 
 
 @dataclass(frozen=True)
@@ -206,13 +213,23 @@ class FlattenSpec(_Spec):
 
 
 class _Layer:
-    """A layer built from its spec. Layers without parameters keep the
-    empty defaults; the others set params, param_names and grads."""
+    """A layer built from its spec; a kind is its spec (fields,
+    `out_shape`, `param_shapes`), its layer class and one `LAYER_KINDS`
+    row. The weight w and bias b take the spec's `param_shapes`: w
+    He-normal from `rng` (zeros when `rng` is None), b zero. A kind
+    without parameters keeps the empty defaults."""
 
-    params = param_names = grads = ()
+    params = grads = ()
 
     def __init__(self, spec, rng, dtype):
         self.spec = spec
+        shapes = spec.param_shapes()
+        if shapes:
+            w, b = shapes
+            self.w = _he_normal(rng, w, math.prod(w[1:]), dtype)
+            self.b = np.zeros(b, dtype=dtype)
+            self.params = [self.w, self.b]
+            self.grads = [None, None]
 
     def forward(self, x, train=True):
         raise NotImplementedError
@@ -245,15 +262,7 @@ def _he_normal(rng, shape, fan_in, dtype):
 
 
 class Conv2d(_Layer):
-    def __init__(self, spec: Conv2dSpec, rng, dtype):
-        self.spec = spec
-        k, ci, co = spec.kernel, spec.in_channels, spec.out_channels
-        self.w = _he_normal(rng, (co, ci, k, k), ci * k * k, dtype)
-        self.b = np.zeros(co, dtype=dtype)
-        self.params = [self.w, self.b]
-        self.param_names = ["w", "b"]
-        self.grads = [None, None]
-        self._cache = None
+    _cache = None
 
     def _geometry(self, h, w):
         """(ho, wo, padded width wp, padded rows including spare ones)."""
@@ -338,14 +347,7 @@ class Conv2d(_Layer):
 
 
 class Dense(_Layer):
-    def __init__(self, spec: DenseSpec, rng, dtype):
-        self.spec = spec
-        self.w = _he_normal(rng, (spec.out_features, spec.in_features), spec.in_features, dtype)
-        self.b = np.zeros(spec.out_features, dtype=dtype)
-        self.params = [self.w, self.b]
-        self.param_names = ["w", "b"]
-        self.grads = [None, None]
-        self._x = None
+    _x = None
 
     def forward(self, x, train=True):
         if train:
@@ -534,66 +536,32 @@ class Model:
     """Ordered layer stack; shape-checked at build time.
 
     input_shape is (channels, height, width). All parameters are
-    initialized from substream(seed, 'init', layer_index).
+    initialized from substream(seed, 'init', layer_index); seed=None
+    draws no stream and leaves them zero, for a checkpoint to fill.
     """
 
     def __init__(self, specs, input_shape, seed=0, dtype=np.float32):
-        self.seed = int(seed)
-        self._build(specs, input_shape, dtype, lambda i: substream(self.seed, "init", i))
-
-    @classmethod
-    def _unfilled(cls, specs, input_shape):
-        """A float32 model with zero parameters for a checkpoint to fill. It
-        draws no init streams, since the checkpoint overwrites every value."""
-        model = cls.__new__(cls)
-        model.seed = 0
-        model._build(specs, input_shape, np.float32, lambda i: None)
-        return model
-
-    def _build(self, specs, input_shape, dtype, init_rng):
         self.specs = list(specs)
         self.input_shape = tuple(int(d) for d in input_shape)
         self.dtype = np.dtype(dtype)
         self.output_shape = output_shape(self.specs, self.input_shape)
         self.layers = [
-            _BY_SPEC[type(spec)].layer(spec, init_rng(i), self.dtype)
+            _BY_SPEC[type(spec)].layer(spec, None if seed is None else substream(seed, "init", i), self.dtype)
             for i, spec in enumerate(self.specs)
         ]
         self._first_trained = next((i for i, l in enumerate(self.layers) if l.params), -1)
         self._plan = _execution_plan(self.specs)
         self._order = [i for step in self._plan for i in step if i is not None]
 
-    @property
-    def num_classes(self):
-        return self.output_shape[0]
-
     def parameters(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, p in zip(layer.param_names, layer.params):
-                out.append((f"layer{i}.{name}", p))
-        return out
+        return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers)
+                for name, p in zip("wb", layer.params)]
 
     def gradients(self):
         out = []
         for layer in self.layers:
             out.extend(layer.grads)
         return out
-
-    def set_parameters(self, arrays):
-        flat = [p for _, p in self.parameters()]
-        if len(arrays) != len(flat):
-            raise ConfigError(f"expected {len(flat)} parameter tensors, got {len(arrays)}")
-        idx = 0
-        for layer in self.layers:
-            for j in range(len(layer.params)):
-                a = np.asarray(arrays[idx], dtype=self.dtype)
-                if a.shape != layer.params[j].shape:
-                    raise CheckpointError(
-                        f"parameter shape mismatch: expected {layer.params[j].shape}, got {a.shape}"
-                    )
-                layer.params[j][...] = a
-                idx += 1
 
     def forward(self, x, train=True):
         """Logits for a batch. train=False writes no layer cache, so it
@@ -975,12 +943,16 @@ def checkpoint_load(path):
             f"layer table implies {values} parameter values, more than the "
             f"{len(data) - r.off} bytes after offset {r.off} can hold"
         )
-    model = Model._unfilled(specs, input_shape)
+    model = Model(specs, input_shape, seed=None)
     n_params = r.u32("parameter count")
     params = [p for _, p in model.parameters()]
     if n_params != len(params):
         raise CheckpointError(f"parameter count {n_params} does not match layer table ({len(params)})")
-    model.set_parameters([_read_tensor(r, f"parameter {i}") for i in range(n_params)])
+    for i, p in enumerate(params):
+        t = _read_tensor(r, f"parameter {i}")
+        if t.shape != p.shape:
+            raise CheckpointError(f"parameter shape mismatch: expected {p.shape}, got {t.shape}")
+        p[...] = t  # casts a float64 file to the model's float32
     optimizer = None
     if r.u8("optimizer presence flag"):
         opt_id = r.u8("optimizer kind")

@@ -78,8 +78,9 @@ def test_load_draws_no_init_streams(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(nn, "substream", lambda *args: calls.append(args))
     m2, opt2 = nn.checkpoint_load(p1)
+    unfilled = nn.Model(make_specs(), (1, 8, 8), seed=None)
     assert calls == []  # every initial weight would be overwritten by the file's
-    assert m2.seed == 0
+    assert all(not p.any() for _, p in unfilled.parameters())
     nn.checkpoint_save(m2, opt2, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -170,6 +171,18 @@ def test_parameters_larger_than_the_file_rejected(tmp_path):
         nn.checkpoint_load(path)
 
 
+def test_parameter_shape_mismatch_rejected(tmp_path):
+    # the dense weight's two dims swapped: the element count stays, the shape does not
+    path = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(nn.Model(make_specs(), (1, 8, 8), seed=6), None, path)
+    data = path.read_bytes()
+    header = struct.pack("<3I", 2, 3, 64)  # rank 2, then dims (3, 64)
+    assert data.count(header) == 1
+    path.write_bytes(data.replace(header, struct.pack("<3I", 2, 64, 3)))
+    with pytest.raises(CheckpointError, match=r"parameter shape mismatch: expected \(3, 64\), got \(64, 3\)"):
+        nn.checkpoint_load(path)
+
+
 @pytest.mark.parametrize("with_optimizer", [False, True])
 def test_trailing_bytes_rejected(tmp_path, with_optimizer):
     m = nn.Model(make_specs(), (1, 8, 8), seed=7)
@@ -235,6 +248,9 @@ def test_every_layer_kind_round_trips(tmp_path):
         tokens.append(":".join([kind.token, *map(str, token_ints)]))
     assert ",".join(tokens) == text
     m = nn.Model(specs, (1, 8, 8), seed=9)
+    for spec, layer in zip(specs, m.layers):
+        assert tuple(p.shape for p in layer.params) == spec.param_shapes()
+        assert spec.param_count() == sum(p.size for p in layer.params)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     nn.checkpoint_save(m, None, p1)
     m2, _ = nn.checkpoint_load(p1)

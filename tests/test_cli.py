@@ -234,6 +234,25 @@ def test_split_identical_files_same_seed(tmp_path):
         assert (tmp_path / "s1" / f).read_bytes() == (tmp_path / "s2" / f).read_bytes()
 
 
+def test_split_manifests_need_no_data_root(tmp_path, capsys):
+    # split into a sibling directory: every image is named relative to the manifest
+    dd, sd = tmp_path / "data", tmp_path / "splits"
+    dispatch(["gen-synth", "--out", str(dd), "--classes", "2", "--per-class", "10",
+              "--size", "8", "--seed", "3"])
+    assert dispatch(["split", "--data", str(dd), "--out", str(sd)]) == 0
+    assert all(p.startswith("../data/c") for p, _ in data.manifest_read(sd / "train.txt").entries)
+    assert dispatch(["split", "--data", str(dd), "--out", str(dd)]) == 0
+    assert all(p.startswith("c") for p, _ in data.manifest_read(dd / "train.txt").entries)
+    ckpt = tmp_path / "ckpt.bin"
+    nn.checkpoint_save(nn.Model([nn.FlattenSpec(), nn.DenseSpec(64, 2)], (1, 8, 8)), None, ckpt)
+    assert dispatch(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(sd / "test.txt")]) == 0
+    rot = tmp_path / "rot"
+    assert dispatch(["gen-rotated", "--manifest", str(sd / "train.txt"), "--out", str(rot)]) == 0
+    names = [f for c in ("original", "rot_left", "rot_right") for f in os.listdir(rot / c)]
+    assert len(names) == 14 and not any(f.startswith(".") for f in names)
+    assert "loss" in capsys.readouterr().out
+
+
 def test_gen_rotated_source_class_filter(tmp_path):
     dd = tmp_path / "data"
     dispatch(["gen-synth", "--out", str(dd), "--classes", "2", "--per-class", "12",
@@ -720,6 +739,26 @@ def test_bare_resume_and_evaluate_take_the_record_from_any_directory(tmp_path, m
     assert dispatch(["evaluate", "--checkpoint", "r/ckpt_final.bin", "--manifest", "r/test.txt"]) == 0
     last = metrics.read_metrics(full / "metrics.csv").records[-1]
     assert capsys.readouterr().out.startswith(f"loss={last.test_loss:.6g} accuracy={last.test_acc:.6g} ")
+
+
+def test_bad_training_image_ends_the_run_on_its_day_and_a_resume_after_repair_matches(tmp_path, capsys):
+    # training images decode on first use, so a bad one is met on its day,
+    # after the earlier days are written
+    full, broken = tmp_path / "full", tmp_path / "broken"
+    assert dispatch(_small_run_argv(tmp_path, full, days=4)) == 0
+    plan = (full / "dayplan.txt").read_text().splitlines()
+    row = int(plan[3].split("\t")[1].split(",")[0])  # first arrives on day 3
+    image = tmp_path / "data" / data.manifest_read(full / "train.txt").entries[row][0]
+    good = image.read_bytes()
+    image.write_bytes(good[:7])
+    capsys.readouterr()
+    assert dispatch(_small_run_argv(tmp_path, broken, days=4)) == 3
+    assert capsys.readouterr().err == f"DATA_ERROR: {image}: truncated PGM header at offset 7\n"
+    assert {r.day for r in metrics.read_metrics(broken / "metrics.csv").records} == {1, 2}
+    assert sorted(p.name for p in broken.glob("ckpt_*")) == ["ckpt_day_00001.bin", "ckpt_day_00002.bin"]
+    image.write_bytes(good)
+    assert dispatch(["run", "--out", str(broken), "--resume"]) == 0
+    _assert_same_run(full, broken)
 
 
 @pytest.mark.parametrize("command,args,prefix", [

@@ -19,7 +19,8 @@ from daylearn.cli import dispatch  # noqa: E402
 
 PREFIXES = ("USAGE_ERROR: ", "CONFIG_ERROR: ", "DATA_ERROR: ", "NUMERIC_ERROR: ",
             "CHECKPOINT_ERROR: ", "IO_ERROR: ")
-TARGETS = ("metrics.csv", "state.txt", "test.txt", "effective_config.cfg", "image", "config")
+TARGETS = ("metrics.csv", "state.txt", "test.txt", "effective_config.cfg", "ckpt_final.bin", "image",
+           "config")
 
 
 @pytest.fixture(scope="module")

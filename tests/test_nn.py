@@ -287,7 +287,7 @@ def test_model_step_byte_equal_declared_order(layers, size, dtype, input_grad):
     rng = substream(6, "order", size)
     x = rng.integers(-1, 2, size=(5, 1, size, size)).astype(dtype)  # ties and zeros
     x[1:3] = rng.standard_normal((2, 1, size, size))
-    glogits = rng.standard_normal((5, model().num_classes)).astype(dtype)
+    glogits = rng.standard_normal((5, model().output_shape[0])).astype(dtype)
     m, ref = model(), model()
     logits = m.forward(x)
     gx = m.backward(glogits, input_grad=input_grad)
@@ -388,7 +388,7 @@ def test_tracer_sees_each_conv_and_pool_forward_once(layers, size, monkeypatch):
         del log[:]
         logits = m.forward(x, train=train)
         assert sorted(id(l) for method, l in log if method == "forward") == traced
-    _, g = nn.softmax_cross_entropy(logits, np.arange(2) % m.num_classes)
+    _, g = nn.softmax_cross_entropy(logits, np.arange(2) % m.output_shape[0])
     m.backward(g, input_grad=False)
     assert any(method == "backward" for method, _ in log)
     for i, (method, layer) in enumerate(log):
@@ -471,7 +471,7 @@ def test_eval_writes_no_state_and_backward_is_repeatable(layers, size):
     x = substream(2, "repeat").integers(-1, 2, size=(4, 1, size, size)).astype(np.float32)
     m.forward(x, train=False)
     assert all(state is None for state in _layer_state(m))
-    _, g = nn.softmax_cross_entropy(m.forward(x), np.arange(4) % m.num_classes)
+    _, g = nn.softmax_cross_entropy(m.forward(x), np.arange(4) % m.output_shape[0])
     first = [a.tobytes() for a in [m.backward(g)] + m.gradients()]
     assert [a.tobytes() for a in [m.backward(g)] + m.gradients()] == first
 
@@ -509,7 +509,7 @@ def test_eval_forward_between_forward_and_backward_keeps_grads(layers):
 def test_backward_without_input_grad_keeps_param_grads(layers):
     m = _bench_model(layers, seed=5)
     x = _tied_inputs(4, 6)
-    _, g = nn.softmax_cross_entropy(m.forward(x), np.array([0, 1, 2, 0, 1, 2]) % m.num_classes)
+    _, g = nn.softmax_cross_entropy(m.forward(x), np.array([0, 1, 2, 0, 1, 2]) % m.output_shape[0])
     assert m.backward(g).shape == x.shape
     full = [a.tobytes() for a in m.gradients()]
     for layer in m.layers:
