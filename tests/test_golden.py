@@ -1,6 +1,7 @@
 """Pinned output bytes: sha256 of `metrics.csv`, `ckpt_final.bin` and
 `dayplan.txt` for a few tiny runs, one per strategy, one with pre-training,
-one stopped and resumed and one with a short final day, against
+one stopped and resumed, one with a short final day and one whose second
+conv (stride 2) trains through its input gradient, against
 `golden/digests.txt`.
 
 A change that moves any of these bytes on the same numpy and BLAS fails
@@ -39,6 +40,10 @@ RUNS = {
     # 26 rows left after pre-training: six days of 4 and a final day of 2
     "short_final": ({"strategy": "half_split", "pretrain_size": 1, "total_days": 7,
                      "allow_short_final": True}, None),
+    # a second conv, so training computes a conv input gradient
+    "two_conv": ({"strategy": "half_split", "epochs_per_day": 2,
+                  "layers": parse_layers("conv:3:3:1:1,relu,pool:2,conv:4:3:2:1,relu,flatten,dense:3", 8)},
+                 None),
 }
 
 
