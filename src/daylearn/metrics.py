@@ -142,14 +142,19 @@ def window_stats(values):
     return slope, var
 
 
+def _flat(values, config: DetectorConfig):
+    """Whether one window's |slope| and variance are within tolerance."""
+    slope, var = window_stats(values)
+    return abs(slope) <= config.slope_tolerance and var <= config.variance_tolerance
+
+
 def plateau_detect(series, config: DetectorConfig):
     """Earliest window start where |slope| and variance are within tolerance."""
     n = len(series)
     if n < config.window:
         raise UsageError(f"series of length {n} shorter than window {config.window}")
     for i in range(n - config.window + 1):
-        slope, var = window_stats(series[i : i + config.window])
-        if abs(slope) <= config.slope_tolerance and var <= config.variance_tolerance:
+        if _flat(series[i : i + config.window], config):
             return i
     return None
 
@@ -168,8 +173,10 @@ def spike_detect(series, spike_drop):
 def training_assessment(log: RunLog, config: DetectorConfig):
     """Stop/continue recommendation from day-local validation accuracy only.
 
-    Never reads test metrics. Raises UsageError when the log has no
-    sequential-phase validation accuracy series.
+    "stop" when the trailing window is flat and holds no forgetting spike;
+    a plateau earlier in the series (`plateau_index`) does not stop a run
+    that has since moved on. Never reads test metrics. Raises UsageError
+    when the log has no sequential-phase validation accuracy series.
     """
     series = log.series("val_acc", phase="sequential")
     if not series:
@@ -183,7 +190,8 @@ def training_assessment(log: RunLog, config: DetectorConfig):
     plateaued = plateau_index is not None
     trailing_start = len(series) - config.window
     recent_forgetting = [i for i in forgetting if i >= trailing_start]
-    recommendation = "stop" if plateaued and not recent_forgetting else "continue"
+    settled = _flat(series[trailing_start:], config) and not recent_forgetting
+    recommendation = "stop" if settled else "continue"
     return {
         "plateaued": plateaued,
         "plateau_index": plateau_index,

@@ -59,27 +59,34 @@ both. The GEMM output is released as soon as the pool has read it.
 Conv2d is im2col plus one GEMM (Chellapilla et al. 2006) over flat
 rows. The input is padded into a zero buffer of Wp = W + 2p columns,
 with spare rows so the last kernel offset stays in bounds, and viewed as
-(n, cin, rows*Wp). Offset (ki, kj) takes the 1-D slice that starts at
+(n, cin, rows*Wp). Offset (ki, kj) reads the run that starts at
 ki*Wp + kj and holds Ho*Wp elements at step `stride`: one long run per
-(n, cin) rather than Ho runs of Wo. These fill a (n, cin*k*k, Ho*Wp)
-column buffer that meets w.reshape(cout, -1) in one batched matmul. The
-last Wp - Wo columns of each output row wrap into the next input row;
-they are dropped before the bias add, or stay in the view a fused pool
-reads. For stride s > 1 about 1 - 1/s of the GEMM columns are such
-waste; no model here uses stride > 1, so one kernel serves every
-stride. Backward rebuilds columns from the cached
-flat buffer instead of caching them. The weight gradient takes only the
-Ho*Wo real positions, one (Ho, Wo) window per offset, so its GEMM has no
-wrap columns to skip; it is computed as cols @ g.T, summed over the
-batch and transposed, which is faster than g @ cols.T for these shapes.
-The input gradient zero-extends the output gradient to Wp columns and
-scatter-adds w[:, :, ki, kj].T @ g along the forward's 1-D slices, one
-offset at a time. MaxPool2d takes the running maximum over the k*k
-strided slices. In training it also records, per window, the offset of
-the first maximum in row-major order in an unsigned array of the pooled
-shape (uint8 for k <= 16): a later offset replaces it only with a
-strictly larger value. Its backward scatters the gradient to that
-offset.
+(n, cin) rather than Ho runs of Wo. All offsets are one (n, cin, k, k,
+Ho*Wp) view of the flat buffer, copied once into the (n, cin*k*k, Ho*Wp)
+columns that meet w.reshape(cout, -1) in one batched matmul. The ndarray
+constructor that builds the view refuses one reaching past the buffer,
+so too few spare rows raise ValueError instead of reading stray memory.
+The last Wp - Wo columns of each output row wrap into the next input
+row; they are dropped before the bias add, or stay in the view a fused
+pool reads. For stride s > 1 about 1 - 1/s of the GEMM columns are such
+waste; no model here uses stride > 1, so one kernel serves every stride.
+Backward rebuilds columns from the cached flat buffer instead of caching
+them. The weight gradient views only the Ho*Wo real positions (tail
+(Ho, Wo), steps (stride*Wp, stride)), so its GEMM has no wrap columns to
+skip; it is computed as cols @ g.T, summed over the batch and
+transposed, which is faster than g @ cols.T for these shapes. The input
+gradient zero-extends the output gradient to Wp columns and, per
+offset, writes w[:, :, ki, kj].T @ g where offset 0 reads in a zeroed
+buffer shaped like the flat input, then adds that whole buffer as one
+contiguous run shifted by ki*Wp + kj. The spare rows keep each nonzero
+in its own (n, cin) row, and every other term is +0.0, which moves no
+byte: a sum that starts at +0.0 is never -0.0 under round-to-nearest.
+
+MaxPool2d takes the running maximum over the k*k strided slices. In
+training it also records, per window, the offset of the first maximum
+in row-major order in an unsigned array of the pooled shape (uint8 for
+k <= 16): a later offset replaces it only with a strictly larger value.
+Its backward scatters the gradient to that offset.
 
 `Model.backward(g, input_grad=False)` stops at the first layer with
 parameters: that layer fills its grads but skips its input gradient,
@@ -269,38 +276,21 @@ class Conv2d(_Layer):
         s = self.spec
         ho, wo = s.out_hw(h, w)
         wp = w + 2 * s.padding
-        # the last offset's slice ends here in the flat buffer
+        # the last offset's run ends here in the flat buffer
         end = (s.kernel - 1) * (wp + 1) + s.stride * (ho * wp - 1) + 1
         return ho, wo, wp, -(-end // wp)
 
-    def _slices(self, ho, wp):
-        """Per kernel offset, the 1-D slice of the flat padded input that
-        holds its ho*wp GEMM columns."""
-        st = self.spec.stride
-        span = st * (ho * wp - 1) + 1
-        for ki, kj in _offsets(self.spec.kernel):
-            base = ki * wp + kj
-            yield ki, kj, slice(base, base + span, st)
-
-    def _flat_cols(self, flat, ho, wp):
-        """(n, cin*k*k, ho*wp) columns; row order matches w.reshape(cout, -1)."""
-        k = self.spec.kernel
+    def _cols(self, flat, wp, tail, steps):
+        """(n, cin*k*k, prod(tail)) columns of the flat padded input, row
+        order that of w.reshape(cout, -1): offset (ki, kj) starts at
+        ki*wp + kj and walks the tail axes by `steps`, all in one copy of
+        one view. numpy refuses a view that reaches past the buffer."""
         n, c = flat.shape[:2]
-        cols = np.empty((n, c, k, k, ho * wp), dtype=flat.dtype)
-        for ki, kj, sl in self._slices(ho, wp):
-            cols[:, :, ki, kj] = flat[..., sl]
-        return cols.reshape(n, c * k * k, ho * wp)
-
-    def _window_cols(self, flat, ho, wo, wp):
-        """(n, cin*k*k, ho*wo) columns without wrap positions: the weight
-        gradient GEMM then sums over the ho*wo real positions only."""
         k = self.spec.kernel
-        n, c = flat.shape[:2]
-        xp = flat.reshape(n, c, -1, wp)
-        cols = np.empty((n, c, k, k, ho, wo), dtype=flat.dtype)
-        for ki, kj in _offsets(k):
-            cols[:, :, ki, kj] = xp[_window(ki, kj, ho, wo, self.spec.stride)]
-        return cols.reshape(n, c * k * k, ho * wo)
+        sn, sc, s1 = flat.strides
+        view = np.ndarray((n, c, k, k, *tail), flat.dtype, buffer=flat, offset=0,
+                          strides=(sn, sc, wp * s1, s1, *(st * s1 for st in steps)))
+        return view.copy().reshape(n, c * k * k, -1)
 
     def forward(self, x, train=True, bias=True):
         """(n, cout, ho, wo) output. bias=False returns the GEMM output's
@@ -315,7 +305,8 @@ class Conv2d(_Layer):
         xp = np.zeros((n, c, rows, wp), dtype=x.dtype)
         xp[:, :, p : p + h, p : p + w] = x
         flat = xp.reshape(n, c, rows * wp)
-        out = np.matmul(self.w.reshape(s.out_channels, -1), self._flat_cols(flat, ho, wp))
+        cols = self._cols(flat, wp, (ho * wp,), (s.stride,))
+        out = np.matmul(self.w.reshape(s.out_channels, -1), cols)
         # columns wo..wp-1 of each output row wrap into the next input row
         out = out.reshape(n, s.out_channels, ho, wp)[..., :wo]
         if train:
@@ -332,17 +323,24 @@ class Conv2d(_Layer):
         p = s.padding
         ho, wo, wp, rows = self._geometry(h, w)
         g = gy.reshape(n, s.out_channels, ho * wo)
-        gw = np.matmul(self._window_cols(flat, ho, wo, wp), g.transpose(0, 2, 1)).sum(axis=0)
+        cols = self._cols(flat, wp, (ho, wo), (s.stride * wp, s.stride))
+        gw = np.matmul(cols, g.transpose(0, 2, 1)).sum(axis=0)
         self.grads = [gw.T.reshape(self.w.shape), gy.sum(axis=(0, 2, 3))]
         if not input_grad:
             return None
         g = np.zeros((n, s.out_channels, ho, wp), dtype=gy.dtype)
         g[..., :wo] = gy  # the wrap columns get zero gradient
         g = g.reshape(n, s.out_channels, ho * wp)
-        # w2.T @ g one offset's rows at a time: no second column-sized buffer
-        gflat = np.zeros_like(flat)
-        for ki, kj, sl in self._slices(ho, wp):
-            gflat[..., sl] += np.matmul(self.w[:, :, ki, kj].T, g)
+        # w2.T @ g one offset's rows at a time, each written where the
+        # forward read them relative to offset 0 and added as one contiguous
+        # run shifted by the offset; everything else added is +0.0
+        gflat, prod = np.zeros_like(flat), np.zeros_like(flat)
+        gf, pf = gflat.reshape(-1), prod.reshape(-1)
+        span = s.stride * (ho * wp - 1) + 1
+        for ki, kj in _offsets(s.kernel):
+            base = ki * wp + kj
+            np.matmul(self.w[:, :, ki, kj].T, g, out=prod[..., :span:s.stride])
+            gf[base:] += pf[: pf.size - base]
         return gflat.reshape(n, c, rows, wp)[:, :, p : p + h, p : p + w]
 
 

@@ -208,6 +208,18 @@ def test_assessment_trailing_spike_continues():
     assert report["recommendation"] == "continue"
 
 
+@pytest.mark.parametrize("window,flat", [(20, 20), (5, 5)])
+def test_assessment_continues_while_rising_after_an_early_plateau(window, flat):
+    # flat at chance, then rising linearly to 1.0: the early plateau is
+    # reported, but the trailing window is still climbing
+    cfg = DetectorConfig(window=window)
+    series = [0.33] * flat + list(np.linspace(0.33, 1.0, 21)[1:])
+    report = training_assessment(_val_log(series), cfg)
+    assert report["plateaued"] and report["plateau_index"] == 0
+    assert report["forgetting_events"] == []
+    assert report["recommendation"] == "continue"
+
+
 def test_assessment_never_reads_test_metrics():
     cfg = DetectorConfig(window=5, slope_tolerance=0.01, variance_tolerance=0.01, spike_drop=0.2)
     series = [0.5, 0.7, 0.9] + [0.95] * 9

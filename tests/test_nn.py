@@ -164,6 +164,75 @@ def _check_conv_against_reference(ci, co, k, st, p, h, w):
     assert out.shape == ref_out.shape and gx.shape == x.shape
 
 
+def _per_offset_conv(conv, x, gy):
+    """The conv as one strided copy or add per kernel offset, the byte
+    oracle for the one-copy column views and the shifted contiguous adds:
+    (output, unbiased GEMM output view, gw, gb, gx)."""
+    s = conv.spec
+    k, st, p = s.kernel, s.stride, s.padding
+    n, c, h, w = x.shape
+    ho, wo, wp, rows = conv._geometry(h, w)
+    xp = np.zeros((n, c, rows, wp), dtype=x.dtype)
+    xp[:, :, p : p + h, p : p + w] = x
+    flat = xp.reshape(n, c, rows * wp)
+    span = st * (ho * wp - 1) + 1
+    slices = [(ki, kj, slice(ki * wp + kj, ki * wp + kj + span, st)) for ki, kj in nn._offsets(k)]
+    cols = np.empty((n, c, k, k, ho * wp), dtype=x.dtype)
+    for ki, kj, sl in slices:
+        cols[:, :, ki, kj] = flat[..., sl]
+    gemm = np.matmul(conv.w.reshape(s.out_channels, -1), cols.reshape(n, c * k * k, ho * wp))
+    gemm = gemm.reshape(n, s.out_channels, ho, wp)[..., :wo]
+    out = gemm + conv.b[None, :, None, None]
+    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
+    for ki, kj in nn._offsets(k):
+        cols[:, :, ki, kj] = xp[nn._window(ki, kj, ho, wo, st)]
+    g = gy.reshape(n, s.out_channels, ho * wo)
+    gw = np.matmul(cols.reshape(n, c * k * k, ho * wo), g.transpose(0, 2, 1)).sum(axis=0)
+    g = np.zeros((n, s.out_channels, ho, wp), dtype=gy.dtype)
+    g[..., :wo] = gy
+    g = g.reshape(n, s.out_channels, ho * wp)
+    gflat = np.zeros_like(flat)
+    for ki, kj, sl in slices:
+        gflat[..., sl] += np.matmul(conv.w[:, :, ki, kj].T, g)
+    gx = gflat.reshape(n, c, rows, wp)[:, :, p : p + h, p : p + w]
+    return out, gemm, gw.T.reshape(conv.w.shape), gy.sum(axis=(0, 2, 3)), gx
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("st", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("ci,h,w", [(1, 9, 11), (3, 8, 7)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_bytes_match_per_offset_oracle(k, st, p, ci, h, w, dtype):
+    conv = nn.Conv2d(nn.Conv2dSpec(ci, 5, k, st, p), substream(1, "conv", k), dtype)
+    rng = substream(k, "conv-oracle", st, p, ci)
+    conv.b[...] = rng.standard_normal(5)
+    x = rng.standard_normal((3, ci, h, w)).astype(dtype)
+    gy = rng.standard_normal((3, 5) + conv.spec.out_hw(h, w)).astype(dtype)
+    gy[1] = -0.0  # every product for that image is a signed zero
+    ref_out, ref_gemm, ref_gw, ref_gb, ref_gx = _per_offset_conv(conv, x, gy)
+    assert conv.forward(x, train=False).tobytes() == ref_out.tobytes()
+    gemm = conv.forward(x, bias=False)
+    assert gemm.shape == ref_gemm.shape and gemm.tobytes() == ref_gemm.tobytes()
+    out = conv.forward(x)
+    assert out.dtype == dtype and out.tobytes() == ref_out.tobytes()
+    gx = conv.backward(gy)
+    assert gx.shape == x.shape and gx.tobytes() == ref_gx.tobytes()
+    for got, want in zip(conv.grads, (ref_gw, ref_gb)):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k,st,p", [(3, 1, 1), (3, 2, 1), (2, 3, 0), (1, 1, 0)])
+def test_conv_column_view_refuses_a_buffer_one_row_short(k, st, p):
+    # the forward's column view is bounds-checked: a `rows` too small for
+    # the last offset's reads raises instead of reading past the buffer
+    conv = nn.Conv2d(nn.Conv2dSpec(2, 3, k, st, p), substream(1, "conv"), np.float32)
+    ho, wo, wp, rows = conv._geometry(9, 11)
+    conv._cols(np.zeros((2, 2, rows * wp), dtype=np.float32), wp, (ho * wp,), (st,))
+    with pytest.raises(ValueError):
+        conv._cols(np.zeros((2, 2, (rows - 1) * wp), dtype=np.float32), wp, (ho * wp,), (st,))
+
+
 @pytest.mark.parametrize("k,hw", [(2, 8), (2, 9), (3, 8), (4, 10)])
 def test_maxpool_matches_argmax_reference(k, hw):
     # small integers give many ties, exact zeros and negative windows
